@@ -11,7 +11,6 @@ import random
 import sys
 import time
 
-from .dimensions import stable_range
 from .evaluate import ContractionCapError
 from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, SamplerConfig,
@@ -98,6 +97,9 @@ def cmd_relations(args):
 
 
 def cmd_dims(args):
+    if args.max_d < 1 or args.max_n < 1:
+        print("error: --max-d and --max-n must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     config = _config_from(args)
     table = rel_dimension_table(args.max_d, args.max_n, config,
                                 skip_stable=not args.compute_stable)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
-from .words import FpfInvolution, InvariantMonomial, TraceWord, X
+from .words import X, XT, FpfInvolution, InvariantMonomial, _env_cap
 
 MODE_RATIONAL = "rational"
 MODE_COMPLEX = "complex"
@@ -55,40 +56,83 @@ class MatrixSample:
                             self.mode)
 
 
-def _matmul(a, b, n):
-    return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n))
-                 for i in range(n))
+def _mul(a, bt):
+    """a . b, given the rows of a and the rows of b^T (the columns of b)."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def _trace(a, n):
-    return sum(a[i][i] for i in range(n))
+def _trace_mul(a, bt):
+    """Tr(a . b) from the rows of a and of b^T, in n^2 products."""
+    return sum(sum(map(mul, row, col)) for row, col in zip(a, bt))
+
+
+@dataclass(frozen=True)
+class _BasisPlan:
+    """How to evaluate a basis with shared work.
+
+    Products of word prefixes form a trie: slots 0 and 1 hold x and x^T,
+    and each step (parent slot, letter) appends parent . factor(letter).
+    Each distinct word is (slot of its longest proper prefix, last letter),
+    with slot None for one-letter words.  Each monomial is a tuple of word
+    indices.
+    """
+
+    degrees: frozenset
+    steps: tuple
+    words: tuple
+    monomials: tuple
+
+
+@lru_cache(maxsize=256)
+def _basis_plan(basis):
+    word_index = {}
+    for m in basis:
+        for w in m.words:
+            word_index.setdefault(w.letters, len(word_index))
+    slot = {(X,): 0, (XT,): 1}
+    steps = []
+    words = []
+    for w in word_index:
+        for k in range(2, len(w)):
+            if w[:k] not in slot:
+                slot[w[:k]] = 2 + len(steps)
+                steps.append((slot[w[:k - 1]], w[k - 1]))
+        words.append((slot[w[:-1]] if len(w) > 1 else None, w[-1]))
+    return _BasisPlan(degrees=frozenset(m.degree for m in basis),
+                      steps=tuple(steps), words=tuple(words),
+                      monomials=tuple(tuple(word_index[w.letters] for w in m.words)
+                                      for m in basis))
+
+
+def evaluate_basis_row(d, x, basis):
+    """Values of every basis invariant on one sample, in basis order.
+
+    Each distinct word is traced once, its product built one matmul beyond
+    its prefix's; monomials are products of those traces.  Arithmetic is
+    that of the entries, so exact entries give exact values.
+    """
+    plan = _basis_plan(tuple(basis))
+    if any(deg != d for deg in plan.degrees):
+        raise ValueError("basis degree mismatch")
+    rows = x.entries
+    # transposes[letter] holds the rows of factor(letter)^T
+    transposes = (tuple(zip(*rows)), rows)
+    prods = [rows, transposes[0]]
+    for parent, letter in plan.steps:
+        prods.append(_mul(prods[parent], transposes[letter]))
+    traces = [_trace_mul(prods[parent], transposes[letter]) if parent is not None
+              else sum(rows[i][i] for i in range(x.n))
+              for parent, letter in plan.words]
+    return [math.prod([traces[i] for i in mono]) for mono in plan.monomials]
+
+
+def evaluate_monomial(monomial, x):
+    return evaluate_basis_row(monomial.degree, x, (monomial,))[0]
 
 
 def evaluate_word(word, x):
     """Tr of the matrix product spelled by the word (X -> x, XT -> x^T)."""
-    if not isinstance(word, TraceWord):
-        word = TraceWord(tuple(word))
-    n = x.n
-    xt = tuple(zip(*x.entries))
-    prod = None
-    for letter in word.letters:
-        factor = x.entries if letter == X else xt
-        prod = factor if prod is None else _matmul(prod, factor, n)
-    return _trace(prod, n)
-
-
-def evaluate_monomial(monomial, x):
-    val = 1
-    for w in monomial.words:
-        val = val * evaluate_word(w, x)
-    return val
-
-
-def evaluate_basis_row(d, x, basis):
-    """Values of every basis invariant on one sample, in basis order."""
-    if any(m.degree != d for m in basis):
-        raise ValueError("basis degree mismatch")
-    return [evaluate_monomial(m, x) for m in basis]
+    return evaluate_monomial(InvariantMonomial((word,)), x)
 
 
 def contract_matching(inv, x, cell_cap=None):
@@ -105,8 +149,7 @@ def contract_matching(inv, x, cell_cap=None):
     n = x.n
     cap = cell_cap
     if cap is None:
-        cap = int(os.environ.get("TRACE_RELATIONS_CAP", DEFAULT_CONTRACTION_CELL_CAP))
-        cap = max(cap, DEFAULT_CONTRACTION_CELL_CAP)
+        cap = _env_cap(DEFAULT_CONTRACTION_CELL_CAP)
     if n ** d > cap:
         raise ContractionCapError(f"contraction needs {n**d} index assignments, cap {cap}")
     pairs = [(a, b) for a, b in enumerate(inv.pairing) if a < b]

@@ -15,8 +15,12 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .evaluate import MODE_COMPLEX, MODE_RATIONAL, MatrixSample, evaluate_basis_row, evaluate_monomial
+# evaluate_monomial is unused here but stays importable from this module:
+# benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
+from .evaluate import (MODE_COMPLEX, MODE_RATIONAL, MatrixSample,  # noqa: F401
+                       evaluate_basis_row, evaluate_monomial)
 from .words import enumerate_invariant_basis
 
 METHOD_MONTECARLO = "montecarlo"
@@ -162,24 +166,34 @@ def rank_of(rows):
     return len(rows[0]) - len(nullspace(rows))
 
 
+def _vanish_on_fresh_samples(vectors, n, d, trials, rng, basis, config):
+    """True iff every vector annihilates each of `trials` fresh exact samples.
+
+    All vectors share the samples; each one still meets `trials` independent
+    draws, so its Schwartz-Zippel bound is what it would be alone.
+    """
+    if not vectors:
+        return True
+    cfg = replace(config, mode=MODE_RATIONAL)
+    for _ in range(trials):
+        row = evaluate_basis_row(d, _sample_nonzero(n, rng, cfg), basis)
+        if any(sum(map(mul, v, row)) for v in vectors):
+            return False
+    return True
+
+
 def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
-    """True iff the coefficient vector annihilates `trials` fresh exact samples."""
+    """True iff the coefficient vector is nonzero and annihilates `trials`
+    fresh exact samples."""
     if basis is None:
         basis = enumerate_invariant_basis(d)
     if len(coeffs) != len(basis):
         raise ValueError("coefficient length does not match basis size")
+    if not any(coeffs):
+        return False
     if config is None:
         config = SamplerConfig(seed=0)
-    cfg = replace(config, mode=MODE_RATIONAL)
-    for _ in range(trials):
-        x = _sample_nonzero(n, rng, cfg)
-        total = 0
-        for c, m in zip(coeffs, basis):
-            if c:
-                total += c * evaluate_monomial(m, x)
-        if total != 0:
-            return False
-    return True
+    return _vanish_on_fresh_samples([coeffs], n, d, trials, rng, basis, config)
 
 
 @dataclass(frozen=True)
@@ -208,13 +222,18 @@ class RelationSet:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(n=int(obj["n"]), d=int(obj["d"]),
-                   basis=tuple(obj["basis"]),
-                   relations=tuple(tuple(int(c) for c in rel)
-                                   for rel in obj["relations"]),
-                   method=obj["method"], seed=int(obj["seed"]),
-                   entry_bound=int(obj["entry_bound"]))
+        try:
+            obj = json.loads(text)
+            return cls(n=int(obj["n"]), d=int(obj["d"]),
+                       basis=tuple(obj["basis"]),
+                       relations=tuple(tuple(int(c) for c in rel)
+                                       for rel in obj["relations"]),
+                       method=obj["method"], seed=int(obj["seed"]),
+                       entry_bound=int(obj["entry_bound"]))
+        except KeyError as exc:
+            raise ValueError(f"malformed relation file: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed relation file: {exc}") from exc
 
 
 MAX_ESCALATIONS = 3
@@ -234,8 +253,8 @@ def certified_kernel(n, d, config, basis=None):
         rows = build_evaluation_matrix(n, d, k + cfg.oversample, cfg, basis=basis)
         vectors = nullspace(rows)
         vrng = stream(config.seed, "verify", n, attempt)
-        if all(verify_relation(v, n, d, cfg.verify_trials, vrng,
-                               basis=basis, config=cfg) for v in vectors):
+        if _vanish_on_fresh_samples(vectors, n, d, cfg.verify_trials, vrng,
+                                    basis, cfg):
             return vectors
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "

@@ -130,6 +130,38 @@ def test_verify_empty_relation_list(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_verify_zero_relation_fails(capsys, tmp_path):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["relations"].append(["0"] * len(obj["basis"]))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, "verify", "--input", str(zero))
+    assert rc == 4
+    assert out.splitlines()[-1].endswith("FAIL")
+
+
+@pytest.mark.parametrize("drop", ["d", "relations", "entry_bound"])
+def test_verify_missing_key_is_usage_error(capsys, tmp_path, drop):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    del obj[drop]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(drop) in err
+
+
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"n": "two"}'])
+def test_verify_malformed_file_is_usage_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: malformed relation file")
+
+
 def test_dims_text(capsys):
     rc, out, _ = run(capsys, "dims", "--max-d", "3", "--max-n", "2", "--seed", "1")
     assert rc == 0
@@ -148,6 +180,16 @@ def test_dims_csv(capsys):
     # stable range cells are zero
     assert rows[1][1:] == ["0", "0", "0"]
     assert rows[3][2:] == ["2", "0"]
+
+
+@pytest.mark.parametrize("flags", [("--max-d", "0", "--max-n", "2"),
+                                   ("--max-d", "3", "--max-n", "0"),
+                                   ("--max-d", "-1", "--max-n", "-1")])
+def test_dims_rejects_nonpositive_sizes(capsys, flags):
+    rc, out, err = run(capsys, "dims", *flags, "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --max-d and --max-n must be >= 1\n"
 
 
 def test_bench_small(capsys):

@@ -135,6 +135,51 @@ def test_contraction_cap():
         contract_matching(tau(9), x, cell_cap=10)
 
 
+def test_contraction_cap_env_lowers_cap(monkeypatch):
+    monkeypatch.setenv("TRACE_RELATIONS_CAP", "2")
+    with pytest.raises(ContractionCapError):
+        contract_matching(tau(3), mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _naive_monomial(monomial, x):
+    # reference: one matrix product per letter of every word, no sharing
+    n = x.n
+    xt = tuple(zip(*x.entries))
+    val = 1
+    for w in monomial.words:
+        prod = None
+        for letter in w.letters:
+            f = x.entries if letter == X else xt
+            prod = f if prod is None else tuple(
+                tuple(sum(prod[i][l] * f[l][j] for l in range(n)) for j in range(n))
+                for i in range(n))
+        val *= sum(prod[i][i] for i in range(n))
+    return val
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_basis_row_matches_per_monomial_evaluation(d):
+    basis = enumerate_invariant_basis(d)
+    rng = random.Random(f"row/{d}")
+    for n in range(1, 6):
+        for bound in (10, 80):
+            x = random_int_matrix(n, rng, bound)
+            row = evaluate_basis_row(d, x, basis)
+            assert row == [evaluate_monomial(m, x) for m in basis]
+            assert row == [_naive_monomial(m, x) for m in basis]
+            assert evaluate_basis_row(d, x, tuple(basis)) == row
+
+
+def test_basis_row_complex_sample():
+    rng = random.Random(5)
+    x = mat([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
+             for _ in range(3)], mode="complex")
+    basis = enumerate_invariant_basis(5)
+    expected = [_naive_monomial(m, x) for m in basis]
+    assert evaluate_basis_row(5, x, basis) == pytest.approx(expected)
+    assert [evaluate_monomial(m, x) for m in basis] == pytest.approx(expected)
+
+
 def test_exact_mode_integer_matrices_give_integers():
     rng = random.Random(4)
     basis = enumerate_invariant_basis(4)

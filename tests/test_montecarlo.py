@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trace_relations import montecarlo
 from trace_relations.montecarlo import (
     KernelCertificationError, RelationSet, SamplerConfig,
     build_evaluation_matrix, certified_kernel, estimate_relation_dimension_float,
@@ -157,6 +158,27 @@ def test_verify_relation():
     assert not verify_relation(bad, 2, 3, 20, stream(9, "v"), basis=basis)
     with pytest.raises(ValueError):
         verify_relation((1, 2), 2, 3, 5, stream(9, "v"), basis=basis)
+
+
+def test_verify_relation_rejects_zero_vector():
+    basis = enumerate_invariant_basis(3)
+    assert not verify_relation((0, 0, 0, 0, 0), 2, 3, 20, stream(9, "v"), basis=basis)
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_certified_kernel_rejects_spurious_vector(monkeypatch, position):
+    # every attempt's kernel carries a non-relation; the shared certification
+    # samples must catch it wherever it sits, so escalation runs out
+    true_nullspace = montecarlo.nullspace
+    bad = (1, 0, 0, 0, 0)
+
+    def padded(rows):
+        kernel = true_nullspace(rows)
+        return [bad] + kernel if position == "first" else kernel + [bad]
+
+    monkeypatch.setattr(montecarlo, "nullspace", padded)
+    with pytest.raises(KernelCertificationError):
+        certified_kernel(2, 3, CFG)
 
 
 def test_verify_rejects_ambiguous_coefficient_variant():
