@@ -14,8 +14,8 @@ import time
 from .evaluate import ContractionCapError
 from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, SamplerConfig,
-                         estimate_relation_dimension_float, find_relations,
-                         rel_dimension_table, stream, verify_relation)
+                         find_relations, rank_of, rel_dimension_table, stream,
+                         verify_relation)
 from .symmetrizer import DEFAULT_SYMMETRIZER_N_CAP, symmetrizer_relation_space
 from .words import EnumerationCapError, enumerate_invariant_basis, monomial_from_id
 
@@ -29,13 +29,11 @@ def _add_sampler_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; a random one is drawn and reported if omitted")
     p.add_argument("--entry-bound", type=int, default=10,
-                   help="exact-mode entries are uniform integers in [-B, B]")
+                   help="sample entries are uniform integers in [-B, B]")
     p.add_argument("--oversample", type=int, default=10,
                    help="extra evaluation rows beyond the basis size")
     p.add_argument("--verify-trials", type=int, default=20,
                    help="fresh-sample certification trials per relation")
-    p.add_argument("--mode", choices=["rational", "complex"], default="rational",
-                   help="scalar mode; only rational results are certified")
 
 
 def _config_from(args):
@@ -45,7 +43,7 @@ def _config_from(args):
         print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
     return SamplerConfig(seed=seed, entry_bound=args.entry_bound,
                          oversample=args.oversample,
-                         verify_trials=args.verify_trials, mode=args.mode)
+                         verify_trials=args.verify_trials)
 
 
 def _emit(text, output):
@@ -71,16 +69,6 @@ def cmd_enumerate(args):
 def cmd_relations(args):
     config = _config_from(args)
     t0 = time.perf_counter()
-    if args.mode == "complex":
-        dim, svals = estimate_relation_dimension_float(args.n, args.d, config)
-        elapsed = time.perf_counter() - t0
-        print(f"# float-mode estimate (not certified): {dim} relations "
-              f"for n={args.n}, d={args.d} in {elapsed:.2f}s", file=sys.stderr)
-        _emit(json.dumps({"n": args.n, "d": args.d, "estimated_relations": dim,
-                          "method": "montecarlo-float", "seed": config.seed,
-                          "float_tolerance": config.float_tolerance},
-                         sort_keys=True, separators=(",", ":")) + "\n", args.output)
-        return EXIT_OK
     if args.method == METHOD_SYMMETRIZER:
         if args.d != args.n + 1:
             print("error: --method symmetrizer requires d = n + 1", file=sys.stderr)
@@ -139,6 +127,12 @@ def cmd_verify(args):
         failures += 0 if ok else 1
     if failures:
         print(f"# {failures} of {len(rs.relations)} relations failed", file=sys.stderr)
+    rank = rank_of(rs.relations)
+    dependent = rank < len(rs.relations)
+    if dependent:
+        print(f"# relations are linearly dependent: rank {rank} of "
+              f"{len(rs.relations)} vectors", file=sys.stderr)
+    if failures or dependent:
         return EXIT_CERTIFICATION
     return EXIT_OK
 

@@ -1,25 +1,18 @@
 """Evaluation of trace-word invariants on concrete matrices.
 
-Two scalar modes share one interface: exact rationals (the certified path)
-and complex floats (optional fast path).  Also provides the independent
-tensor-contraction oracle used to certify the matching -> trace-word
-bijection convention.
+Also provides the independent tensor-contraction oracle used to certify the
+matching -> trace-word bijection convention.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .words import X, XT, FpfInvolution, InvariantMonomial, _env_cap
-
-MODE_RATIONAL = "rational"
-MODE_COMPLEX = "complex"
 
 DEFAULT_CONTRACTION_CELL_CAP = 10_000_000
 
@@ -30,30 +23,19 @@ class ContractionCapError(Exception):
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """Square matrix with homogeneous scalar mode."""
+    """Square n x n matrix."""
 
     n: int
     entries: tuple            # n rows, each a tuple of scalars
-    mode: str = MODE_RATIONAL
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
-        if self.mode not in (MODE_RATIONAL, MODE_COMPLEX):
-            raise ValueError(f"unknown scalar mode {self.mode!r}")
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
-        for row in rows:
-            for e in row:
-                if self.mode == MODE_COMPLEX:
-                    z = complex(e)
-                    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                        raise ValueError("non-finite entry in complex sample")
 
     def transpose(self):
-        return MatrixSample(self.n,
-                            tuple(zip(*self.entries)),
-                            self.mode)
+        return MatrixSample(self.n, tuple(zip(*self.entries)))
 
 
 def _mul(a, bt):
@@ -163,35 +145,3 @@ def contract_matching(inv, x, cell_cap=None):
             term = term * x.entries[slot_val[2 * f]][slot_val[2 * f + 1]]
         total = total + term
     return total
-
-
-def _scalar_to_json(value, mode):
-    if mode == MODE_RATIONAL:
-        return str(Fraction(value))
-    z = complex(value)
-    return [z.real, z.imag]
-
-
-def _scalar_from_json(value, mode):
-    if mode == MODE_RATIONAL:
-        return Fraction(value)
-    re, im = value
-    return complex(re, im)
-
-
-def matrix_to_json(x):
-    return {"n": x.n, "mode": x.mode,
-            "entries": [[_scalar_to_json(e, x.mode) for e in row]
-                        for row in x.entries]}
-
-
-def matrix_from_json(obj):
-    mode = obj["mode"]
-    entries = tuple(tuple(_scalar_from_json(e, mode) for e in row)
-                    for row in obj["entries"])
-    return MatrixSample(int(obj["n"]), entries, mode)
-
-
-def load_matrix(path):
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))

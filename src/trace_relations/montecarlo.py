@@ -19,8 +19,7 @@ from operator import mul
 
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
-from .evaluate import (MODE_COMPLEX, MODE_RATIONAL, MatrixSample,  # noqa: F401
-                       evaluate_basis_row, evaluate_monomial)
+from .evaluate import MatrixSample, evaluate_basis_row, evaluate_monomial  # noqa: F401
 from .words import enumerate_invariant_basis
 
 METHOD_MONTECARLO = "montecarlo"
@@ -37,8 +36,6 @@ class SamplerConfig:
     entry_bound: int = 10
     oversample: int = 10
     verify_trials: int = 20
-    mode: str = MODE_RATIONAL
-    float_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.entry_bound < 1:
@@ -47,10 +44,6 @@ class SamplerConfig:
             raise ValueError("oversample must be >= 0")
         if self.verify_trials < 1:
             raise ValueError("verify_trials must be >= 1")
-        if self.mode not in (MODE_RATIONAL, MODE_COMPLEX):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.float_tolerance < 0:
-            raise ValueError("float_tolerance must be >= 0")
 
 
 def stream(seed, *labels):
@@ -59,16 +52,10 @@ def stream(seed, *labels):
 
 
 def sample_matrix(n, rng, config):
-    """Integer entries uniform on [-B, B] (exact mode) or standard complex
-    Gaussians (float mode)."""
+    """Integer entries uniform on [-B, B]."""
     b = config.entry_bound
-    if config.mode == MODE_RATIONAL:
-        entries = tuple(tuple(rng.randint(-b, b) for _ in range(n))
-                        for _ in range(n))
-        return MatrixSample(n, entries, MODE_RATIONAL)
-    entries = tuple(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                          for _ in range(n)) for _ in range(n))
-    return MatrixSample(n, entries, MODE_COMPLEX)
+    return MatrixSample(n, tuple(tuple(rng.randint(-b, b) for _ in range(n))
+                                 for _ in range(n)))
 
 
 def _sample_nonzero(n, rng, config):
@@ -167,16 +154,15 @@ def rank_of(rows):
 
 
 def _vanish_on_fresh_samples(vectors, n, d, trials, rng, basis, config):
-    """True iff every vector annihilates each of `trials` fresh exact samples.
+    """True iff every vector annihilates each of `trials` fresh samples.
 
     All vectors share the samples; each one still meets `trials` independent
     draws, so its Schwartz-Zippel bound is what it would be alone.
     """
     if not vectors:
         return True
-    cfg = replace(config, mode=MODE_RATIONAL)
     for _ in range(trials):
-        row = evaluate_basis_row(d, _sample_nonzero(n, rng, cfg), basis)
+        row = evaluate_basis_row(d, _sample_nonzero(n, rng, config), basis)
         if any(sum(map(mul, v, row)) for v in vectors):
             return False
     return True
@@ -189,6 +175,8 @@ def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
         basis = enumerate_invariant_basis(d)
     if len(coeffs) != len(basis):
         raise ValueError("coefficient length does not match basis size")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not any(coeffs):
         return False
     if config is None:
@@ -272,9 +260,6 @@ def find_relations(n, d, config):
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if config.mode == MODE_COMPLEX:
-        raise ValueError("find_relations certifies only in exact mode; "
-                         "use estimate_relation_dimension_float for the float path")
     basis = enumerate_invariant_basis(d)
     kernel = certified_kernel(n, d, config, basis=basis)
     if d <= n + 1:
@@ -293,25 +278,6 @@ def find_relations(n, d, config):
                        method=METHOD_MONTECARLO,
                        seed=config.seed,
                        entry_bound=config.entry_bound)
-
-
-def estimate_relation_dimension_float(n, d, config):
-    """Float fast path: SVD rank estimate of the evaluation matrix.
-
-    Mirrors the float formulation verbatim; returns (dimension estimate,
-    singular values).  Not certified; the exact engine is authoritative.
-    """
-    import numpy as np
-
-    basis = enumerate_invariant_basis(d)
-    k = len(basis)
-    cfg = replace(config, mode=MODE_COMPLEX)
-    rows = build_evaluation_matrix(n, d, k + cfg.oversample, cfg, basis=basis)
-    a = np.array([[complex(e) for e in row] for row in rows], dtype=complex)
-    svals = np.linalg.svd(a, compute_uv=False)
-    cutoff = cfg.float_tolerance * max(float(svals[0]), 1.0)
-    rank = int((svals > cutoff).sum())
-    return k - rank, svals
 
 
 def rel_dimension_table(max_d, max_n, config, skip_stable=True):

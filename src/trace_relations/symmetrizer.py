@@ -23,8 +23,6 @@ from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
 
 DEFAULT_SYMMETRIZER_N_CAP = 3   # n=4 means 42 symmetrizers x 460,800 terms
 
-Partition = tuple
-
 
 def check_partition(shape):
     shape = tuple(shape)
@@ -178,10 +176,6 @@ def algebra_multiply(a, b):
             elif s in out:
                 del out[s]
     return out
-
-
-def algebra_scale(a, factor):
-    return {p: c * factor for p, c in a.items()}
 
 
 def young_symmetrizer(t):

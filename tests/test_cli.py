@@ -84,13 +84,11 @@ def test_relations_replay_byte_identical(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_relations_float_mode(capsys):
-    rc, out, err = run(capsys, "relations", "--n", "2", "--d", "3",
-                       "--seed", "5", "--mode", "complex")
-    assert rc == 0
-    obj = json.loads(out)
-    assert obj["estimated_relations"] == 2
-    assert "not certified" in err
+def test_relations_float_mode():
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "--n", "2", "--d", "3", "--seed", "5",
+              "--mode", "complex"])
+    assert exc.value.code == 2
 
 
 def test_round_trip_relations_verify(capsys, tmp_path):
@@ -138,6 +136,30 @@ def test_verify_zero_relation_fails(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--input", str(zero))
     assert rc == 4
     assert out.splitlines()[-1].endswith("FAIL")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_is_usage_error(capsys, tmp_path, trials):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["relations"] = [["1", "0", "0", "0", "0"]]      # Tr(x^3) = 0, false
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(bad), "--trials", trials)
+    assert rc == 2
+    assert "PASS" not in out
+    assert err.startswith("error: ")
+
+
+def test_verify_dependent_relations_fail(capsys, tmp_path):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    rel = obj["relations"][0]
+    obj["relations"] = [rel, rel, [str(2 * int(c)) for c in rel]]
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(dup))
+    assert rc == 4
+    assert out.splitlines() == [f"relation {i}: PASS" for i in range(3)]
+    assert "rank 1 of 3" in err
 
 
 @pytest.mark.parametrize("drop", ["d", "relations", "entry_bound"])

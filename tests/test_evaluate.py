@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from trace_relations.evaluate import (
     ContractionCapError, MatrixSample, contract_matching, evaluate_basis_row,
-    evaluate_monomial, evaluate_word, load_matrix, matrix_from_json,
-    matrix_to_json)
+    evaluate_monomial, evaluate_word)
 from trace_relations.words import (
     X, XT, InvariantMonomial, TraceWord, enumerate_fpf_involutions,
     enumerate_invariant_basis, involution_to_monomial, tau)
 
 
-def mat(rows, mode="rational"):
-    return MatrixSample(len(rows), tuple(tuple(r) for r in rows), mode)
+def mat(rows):
+    return MatrixSample(len(rows), tuple(tuple(r) for r in rows))
 
 
 def random_int_matrix(n, rng, bound=5):
@@ -24,10 +23,6 @@ def random_int_matrix(n, rng, bound=5):
 def test_matrix_sample_validation():
     with pytest.raises(ValueError):
         MatrixSample(2, ((1, 2),))
-    with pytest.raises(ValueError):
-        MatrixSample(1, ((float("nan"),),), "complex")
-    with pytest.raises(ValueError):
-        MatrixSample(1, ((1,),), "decimal")
 
 
 def test_evaluate_word_examples():
@@ -173,7 +168,7 @@ def test_basis_row_matches_per_monomial_evaluation(d):
 def test_basis_row_complex_sample():
     rng = random.Random(5)
     x = mat([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
-             for _ in range(3)], mode="complex")
+             for _ in range(3)])
     basis = enumerate_invariant_basis(5)
     expected = [_naive_monomial(m, x) for m in basis]
     assert evaluate_basis_row(5, x, basis) == pytest.approx(expected)
@@ -189,24 +184,6 @@ def test_exact_mode_integer_matrices_give_integers():
             assert Fraction(v).denominator == 1
 
 
-def test_matrix_json_roundtrip_rational(tmp_path):
-    x = mat([[Fraction(1, 2), 3], [-2, Fraction(7, 5)]])
-    obj = matrix_to_json(x)
-    assert obj["entries"][0][0] == "1/2"
-    assert matrix_from_json(obj) == x
-    p = tmp_path / "m.json"
-    import json
-    p.write_text(json.dumps(obj))
-    assert load_matrix(p) == x
-
-
-def test_matrix_json_roundtrip_complex():
-    x = mat([[complex(1, 2), 0], [0, complex(-1, 0.5)]], mode="complex")
-    obj = matrix_to_json(x)
-    assert obj["entries"][0][0] == [1.0, 2.0]
-    assert matrix_from_json(obj) == x
-
-
 def test_complex_mode_evaluation():
-    x = mat([[complex(0, 1), 0], [0, complex(0, -1)]], mode="complex")
+    x = mat([[complex(0, 1), 0], [0, complex(0, -1)]])
     assert evaluate_word(TraceWord((X, X)), x) == pytest.approx(-2)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from trace_relations import montecarlo
 from trace_relations.montecarlo import (
     KernelCertificationError, RelationSet, SamplerConfig,
-    build_evaluation_matrix, certified_kernel, estimate_relation_dimension_float,
-    find_relations, normalize_vector, nullspace, rank_of, rel_dimension_table,
-    sample_matrix, stream, verify_relation)
+    build_evaluation_matrix, certified_kernel, find_relations, normalize_vector,
+    nullspace, rank_of, rel_dimension_table, sample_matrix, stream,
+    verify_relation)
 from trace_relations.words import enumerate_invariant_basis
 
 CFG = SamplerConfig(seed=42)
@@ -20,8 +20,6 @@ def test_config_validation():
         SamplerConfig(seed=1, entry_bound=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, oversample=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, mode="quaternion")
 
 
 def test_sample_matrix_deterministic_and_bounded():
@@ -31,13 +29,6 @@ def test_sample_matrix_deterministic_and_bounded():
     assert all(-10 <= e <= 10 for row in a.entries for e in row)
     c = sample_matrix(3, stream(5, "row", 1), CFG)
     assert a != c
-
-
-def test_sample_matrix_complex_mode():
-    cfg = SamplerConfig(seed=1, mode="complex")
-    x = sample_matrix(2, stream(1, "row", 0), cfg)
-    assert x.mode == "complex"
-    assert isinstance(x.entries[0][0], complex)
 
 
 def test_build_evaluation_matrix_shape():
@@ -128,11 +119,6 @@ def test_find_relations_n2_d4():
     assert len(find_relations(2, 4, CFG).relations) == 3
 
 
-def test_find_relations_rejects_float_mode():
-    with pytest.raises(ValueError):
-        find_relations(2, 3, SamplerConfig(seed=1, mode="complex"))
-
-
 def test_theorem_diagonal():
     from trace_relations.dimensions import rel_dim_formula
     for n in range(1, 6):
@@ -206,9 +192,3 @@ def test_rel_dimension_table_small():
     table = rel_dimension_table(3, 2, CFG)
     assert table == {(1, 1): 0, (1, 2): 0, (2, 1): 2, (2, 2): 0,
                      (3, 1): 2, (3, 2): 2}
-
-
-def test_float_mode_estimate():
-    dim, svals = estimate_relation_dimension_float(2, 3, SamplerConfig(seed=3))
-    assert dim == 2
-    assert len(svals) == 5
