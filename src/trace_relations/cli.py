@@ -17,7 +17,7 @@ from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          find_relations, rank_of, rel_dimension_table, stream,
                          verify_relation)
 from .symmetrizer import DEFAULT_SYMMETRIZER_N_CAP, symmetrizer_relation_space
-from .words import EnumerationCapError, enumerate_invariant_basis, monomial_from_id
+from .words import EnumerationCapError, enumerate_invariant_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,7 +111,12 @@ def cmd_dims(args):
 def cmd_verify(args):
     with open(args.input) as fh:
         rs = RelationSet.from_json(fh.read())
-    basis = [monomial_from_id(s) for s in rs.basis]
+    basis = enumerate_invariant_basis(rs.d)
+    if list(rs.basis) != [m.encode() for m in basis]:
+        raise ValueError("malformed relation file: basis is not the "
+                         f"degree-{rs.d} invariant basis")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     if not rs.relations:
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")

@@ -249,6 +249,10 @@ def certified_kernel(n, d, config, basis=None):
         f"{MAX_ESCALATIONS} escalations; sampler configuration looks pathological")
 
 
+def _last_nonzero(vec):
+    return max(i for i, c in enumerate(vec) if c)
+
+
 def find_relations(n, d, config):
     """Certified basis of the degree-d relation space for the O(n) action.
 
@@ -265,13 +269,20 @@ def find_relations(n, d, config):
     if d <= n + 1:
         relations = kernel
     else:
-        ambient = [list(v) for v in certified_kernel(n + 1, d, config, basis=basis)]
-        relations = []
-        chosen = []
-        for v in kernel:
-            if rank_of(ambient + chosen + [list(v)]) > len(ambient) + len(chosen):
-                chosen.append(list(v))
-                relations.append(v)
+        ambient = certified_kernel(n + 1, d, config, basis=basis)
+        # Every (n+1) relation holds on n x n matrices (embed x as
+        # diag(x, 0)), so the ambient kernel lies in the n kernel.  Check it:
+        # the quotient below is only right if it holds.
+        if rank_of(kernel + ambient) != len(kernel):
+            raise KernelCertificationError(
+                f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
+                f"n={n}; sampler configuration looks pathological")
+        # nullspace gives one vector per free column, whose last nonzero
+        # coordinate is that column.  Given the containment, a kernel vector
+        # is independent of the ambient kernel and the earlier kernel
+        # vectors exactly when no ambient vector ends at its free column.
+        taken = {_last_nonzero(u) for u in ambient}
+        relations = [v for v in kernel if _last_nonzero(v) not in taken]
     return RelationSet(n=n, d=d,
                        basis=tuple(m.encode() for m in basis),
                        relations=tuple(relations),

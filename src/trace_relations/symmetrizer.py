@@ -242,7 +242,7 @@ def project_to_invariants(y, n):
     return normalize_vector(coeffs)
 
 
-def symmetrizer_relation_space(n, config=None, allow_long=False, progress=None):
+def symmetrizer_relation_space(n, config=None, allow_long=False):
     """Stack the projected symmetrizers of the two-column shape and keep an
     independent, individually verified subset of size rel_dim_formula(n)."""
     if n < 1:
@@ -257,12 +257,8 @@ def symmetrizer_relation_space(n, config=None, allow_long=False, progress=None):
     shape = two_column_shape(n)
     tableaux = enumerate_standard_tableaux(shape)
     selected = []
-    for idx, t in enumerate(tableaux):
-        if progress is not None:
-            progress(idx, len(tableaux))
+    for t in tableaux:
         vec = project_to_invariants(young_symmetrizer(t), n)
-        if all(c == 0 for c in vec):
-            continue
         if rank_of(selected + [list(vec)]) > len(selected):
             selected.append(list(vec))
     expected = rel_dim_formula(n)

@@ -23,7 +23,6 @@ X = 0   # letter for a factor x
 XT = 1  # letter for a factor x^T
 
 _LETTER_CHARS = {X: "x", XT: "t"}
-_CHAR_LETTERS = {"x": X, "t": XT}
 
 DEFAULT_INVOLUTION_CAP = 8   # (2d-1)!! growth; 8 -> 2,027,025 involutions
 DEFAULT_BASIS_CAP = 14       # direct word-multiset generation stays cheap
@@ -114,16 +113,6 @@ class InvariantMonomial:
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
-
-
-def monomial_from_id(encoded):
-    """Inverse of InvariantMonomial.encode."""
-    words = []
-    for part in encoded.split("*"):
-        if not part or any(c not in _CHAR_LETTERS for c in part):
-            raise ValueError(f"bad class id {encoded!r}")
-        words.append(TraceWord(tuple(_CHAR_LETTERS[c] for c in part)))
-    return InvariantMonomial(tuple(words))
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,30 @@ def test_verify_zero_relation_fails(capsys, tmp_path):
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_trials_below_one_is_usage_error(capsys, tmp_path, trials):
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
-    obj["relations"] = [["1", "0", "0", "0", "0"]]      # Tr(x^3) = 0, false
+    # Tr(x^3) = 0 is false; the empty list would pass vacuously
+    for relations in ([["1", "0", "0", "0", "0"]], []):
+        obj["relations"] = relations
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "verify", "--input", str(bad), "--trials", trials)
+        assert rc == 2
+        assert "PASS" not in out
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("basis", [["xxx", "xxx"],
+                                   ["x*x*x", "xt*x", "xx*x", "xxt", "xxx"]])
+def test_verify_basis_mismatch_is_usage_error(capsys, tmp_path, basis):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["basis"] = basis
+    if len(basis) == 2:
+        obj["relations"] = [["1", "-1"]]     # "Tr(x^3) = Tr(x^3)"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
-    rc, out, err = run(capsys, "verify", "--input", str(bad), "--trials", trials)
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
     assert rc == 2
-    assert "PASS" not in out
-    assert err.startswith("error: ")
+    assert out == ""
+    assert err.startswith("error: malformed relation file")
 
 
 def test_verify_dependent_relations_fail(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trace_relations import montecarlo
+from trace_relations.cli import main
 from trace_relations.montecarlo import (
     KernelCertificationError, RelationSet, SamplerConfig,
     build_evaluation_matrix, certified_kernel, find_relations, normalize_vector,
@@ -134,6 +135,47 @@ def test_relations_vanish_only_on_smaller_matrices():
     up = certified_kernel(2, 4, CFG)
     stack = [list(v) for v in up] + [list(v) for v in rs.relations]
     assert rank_of(stack) == len(up) + len(rs.relations)
+
+
+def _greedy_quotient(kernel, ambient):
+    # Reference quotient: keep each kernel vector that raises the rank of the
+    # ambient kernel plus the vectors kept so far.
+    chosen = []
+    for v in kernel:
+        if rank_of(ambient + chosen + [v]) > len(ambient) + len(chosen):
+            chosen.append(v)
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (1, 5), (2, 4), (2, 5), (2, 6),
+                                 (3, 5), (3, 6)])
+def test_quotient_matches_greedy_rank_loop(monkeypatch, n, d):
+    kernels = {}
+    true_kernel = montecarlo.certified_kernel
+
+    def recording(m, *args, **kwargs):
+        kernels[m] = true_kernel(m, *args, **kwargs)
+        return kernels[m]
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", recording)
+    rs = find_relations(n, d, CFG)
+    assert rs.relations == _greedy_quotient(kernels[n], kernels[n + 1])
+
+
+def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys):
+    # Tr(x^3) does not vanish on 1 x 1 matrices, so a 2 x 2 kernel holding
+    # it cannot lie in the 1 x 1 kernel
+    true_kernel = montecarlo.certified_kernel
+
+    def padded(m, *args, **kwargs):
+        kernel = true_kernel(m, *args, **kwargs)
+        return kernel + [(1, 0, 0, 0, 0)] if m == 2 else kernel
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", padded)
+    with pytest.raises(KernelCertificationError):
+        find_relations(1, 3, CFG)
+    assert main(["relations", "--n", "1", "--d", "3", "--seed", "1"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_relation():

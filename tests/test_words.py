@@ -7,7 +7,7 @@ from trace_relations.words import (
     X, XT, EnumerationCapError, FpfInvolution, InvariantMonomial, TraceWord,
     canonicalize_letters, canonicalize_word, class_of_involution,
     enumerate_fpf_involutions, enumerate_invariant_basis,
-    involution_to_monomial, monomial_from_id, tau)
+    involution_to_monomial, tau)
 
 letters = st.lists(st.sampled_from([X, XT]), min_size=1, max_size=9)
 
@@ -150,13 +150,6 @@ def test_class_constant_on_factor_permutation_orbits(d):
         cid = class_of_involution(inv)
         for g in perms:
             assert class_of_involution(_pair_permutation_conjugate(inv, g)) == cid
-
-
-def test_monomial_id_roundtrip():
-    for m in enumerate_invariant_basis(4):
-        assert monomial_from_id(m.encode()) == m
-    with pytest.raises(ValueError):
-        monomial_from_id("xq")
 
 
 def test_monomial_word_order():
