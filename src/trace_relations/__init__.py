@@ -15,14 +15,14 @@ from .symmetrizer import (StandardTableau, enumerate_standard_tableaux,
                           symmetrizer_relation_space, two_column_shape,
                           young_symmetrizer)
 from .words import (EnumerationCapError, FpfInvolution, InvariantMonomial,
-                    TraceWord, canonicalize_word, class_of_involution,
+                    TraceWord, class_of_involution,
                     enumerate_fpf_involutions, enumerate_invariant_basis,
                     involution_to_monomial, tau)
 
 __all__ = [
     "EnumerationCapError", "FpfInvolution", "InvariantMonomial",
     "KernelCertificationError", "MatrixSample", "RelationSet", "SamplerConfig",
-    "StandardTableau", "TraceWord", "canonicalize_word", "catalan",
+    "StandardTableau", "TraceWord", "catalan",
     "class_of_involution", "contract_matching", "enumerate_fpf_involutions",
     "enumerate_invariant_basis", "enumerate_standard_tableaux",
     "evaluate_basis_row", "evaluate_monomial", "evaluate_word",

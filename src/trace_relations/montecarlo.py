@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .dimensions import stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
 from .evaluate import MatrixSample, evaluate_basis_row, evaluate_monomial  # noqa: F401
@@ -212,16 +213,24 @@ class RelationSet:
     def from_json(cls, text):
         try:
             obj = json.loads(text)
-            return cls(n=int(obj["n"]), d=int(obj["d"]),
-                       basis=tuple(obj["basis"]),
-                       relations=tuple(tuple(int(c) for c in rel)
-                                       for rel in obj["relations"]),
-                       method=obj["method"], seed=int(obj["seed"]),
-                       entry_bound=int(obj["entry_bound"]))
+            rs = cls(n=int(obj["n"]), d=int(obj["d"]),
+                     basis=tuple(obj["basis"]),
+                     relations=tuple(tuple(int(c) for c in rel)
+                                     for rel in obj["relations"]),
+                     method=obj["method"], seed=int(obj["seed"]),
+                     entry_bound=int(obj["entry_bound"]))
         except KeyError as exc:
             raise ValueError(f"malformed relation file: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed relation file: {exc}") from exc
+        if rs.n < 1 or rs.d < 1:
+            raise ValueError("malformed relation file: n and d must be positive, "
+                             f"got n={rs.n}, d={rs.d}")
+        for i, rel in enumerate(rs.relations):
+            if len(rel) != len(rs.basis):
+                raise ValueError(f"malformed relation file: relation {i} has "
+                                 f"{len(rel)} entries, basis has {len(rs.basis)}")
+        return rs
 
 
 MAX_ESCALATIONS = 3
@@ -296,7 +305,7 @@ def rel_dimension_table(max_d, max_n, config, skip_stable=True):
     table = {}
     for d in range(1, max_d + 1):
         for n in range(1, max_n + 1):
-            if skip_stable and d <= n:
+            if skip_stable and stable_range(d, n):
                 table[(d, n)] = 0
                 continue
             cell_seed = stream(config.seed, "table", d, n).getrandbits(63)

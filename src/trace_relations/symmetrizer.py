@@ -19,7 +19,7 @@ from .dimensions import rel_dim_formula
 from .montecarlo import (METHOD_SYMMETRIZER, RelationSet, SamplerConfig,
                          normalize_vector, rank_of, stream, verify_relation)
 from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
-                    enumerate_fpf_involutions, enumerate_invariant_basis, tau)
+                    enumerate_invariant_basis, tau)
 
 DEFAULT_SYMMETRIZER_N_CAP = 3   # n=4 means 42 symmetrizers x 460,800 terms
 
@@ -99,57 +99,40 @@ def enumerate_standard_tableaux(shape):
     return out
 
 
-def _perm_from_blocks(blocks, assignments, size):
-    img = list(range(size))
-    for block, perm in zip(blocks, assignments):
-        for src, dst in zip(block, perm):
-            img[src] = dst
-    return tuple(img)
+def _block_group(blocks, size):
+    """Every permutation of {0..size-1} mapping each block onto itself."""
+    out = []
+    for arrangement in itertools.product(*map(itertools.permutations, blocks)):
+        img = list(range(size))
+        for block, images in zip(blocks, arrangement):
+            for src, dst in zip(block, images):
+                img[src] = dst
+        out.append(tuple(img))
+    return out
 
 
-def _block_perms(block):
-    return list(itertools.permutations(block))
-
-
-def _sign_of(block, arrangement):
-    # parity of the permutation sending block[i] -> arrangement[i]
-    pos = {v: i for i, v in enumerate(block)}
-    perm = [pos[v] for v in arrangement]
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _sign(p):
+    """(-1)^(len(p) - number of cycles of p)."""
+    seen = [False] * len(p)
+    cycles = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+    return -1 if (len(p) - cycles) % 2 else 1
 
 
 def row_group(t):
     """All permutations of {0..N-1} preserving each row, as image tuples."""
-    blocks = [tuple(r) for r in t.rows]
-    out = []
-    for assignment in itertools.product(*[_block_perms(b) for b in blocks]):
-        out.append(_perm_from_blocks(blocks, assignment, t.size))
-    return out
+    return _block_group(t.rows, t.size)
 
 
 def column_group(t):
     """All column-preserving permutations, each paired with its sign."""
-    blocks = t.columns()
-    out = []
-    for assignment in itertools.product(*[_block_perms(b) for b in blocks]):
-        perm = _perm_from_blocks(blocks, assignment, t.size)
-        sign = 1
-        for block, arr in zip(blocks, assignment):
-            sign *= _sign_of(block, arr)
-        out.append((perm, sign))
-    return out
+    return [(p, _sign(p)) for p in _block_group(t.columns(), t.size)]
 
 
 def compose(p, q):
@@ -180,17 +163,7 @@ def algebra_multiply(a, b):
 
 def young_symmetrizer(t):
     """y_T = (sum of row permutations) * (signed sum of column permutations)."""
-    out = {}
-    cols = column_group(t)
-    for p in row_group(t):
-        for q, sign in cols:
-            s = compose(p, q)
-            c = out.get(s, 0) + sign
-            if c:
-                out[s] = c
-            elif s in out:
-                del out[s]
-    return out
+    return algebra_multiply(dict.fromkeys(row_group(t), 1), dict(column_group(t)))
 
 
 def symmetrizer_term_count(t):
@@ -201,14 +174,15 @@ def symmetrizer_term_count(t):
 
 
 @lru_cache(maxsize=None)
-def _class_index_table(d):
-    """pairing tuple -> basis index, for every matching on 2d points."""
-    basis = enumerate_invariant_basis(d)
-    index = {m.encode(): i for i, m in enumerate(basis)}
-    table = {}
-    for inv in enumerate_fpf_involutions(d):
-        table[inv.pairing] = index[class_of_involution(inv)]
-    return table, len(basis)
+def _basis_index(d):
+    """class id -> coordinate in the degree-d invariant basis."""
+    return {m.encode(): i for i, m in enumerate(enumerate_invariant_basis(d))}
+
+
+@lru_cache(maxsize=None)
+def _class_index(pairing):
+    """Basis coordinate of the necklace class of a matching (pairing tuple)."""
+    return _basis_index(len(pairing) // 2)[class_of_involution(FpfInvolution(pairing))]
 
 
 def project_to_invariants(y, n):
@@ -220,23 +194,11 @@ def project_to_invariants(y, n):
     """
     d = n + 1
     t = tau(d).pairing
-    try:
-        table, k = _class_index_table(d)
-        lookup = table.__getitem__
-    except EnumerationCapError:
-        # Past the involution cap: classify each conjugate on the fly.
-        basis = enumerate_invariant_basis(d)
-        index = {m.encode(): i for i, m in enumerate(basis)}
-        k = len(basis)
-
-        def lookup(pairing):
-            return index[class_of_involution(FpfInvolution(pairing))]
-
-    coeffs = [0] * k
+    coeffs = [0] * len(_basis_index(d))
     for sigma, c in y.items():
         inv_sigma = invert(sigma)
-        conj = tuple(inv_sigma[t[sigma[i]]] for i in range(len(sigma)))
-        coeffs[lookup(conj)] += c
+        conj = tuple([inv_sigma[t[s]] for s in sigma])
+        coeffs[_class_index(conj)] += c
     if all(v == 0 for v in coeffs):
         return tuple(coeffs)
     return normalize_vector(coeffs)

@@ -78,10 +78,6 @@ class TraceWord:
         return "".join(_LETTER_CHARS[l] for l in self.letters)
 
 
-def canonicalize_word(letters):
-    return TraceWord(tuple(letters))
-
-
 def _word_key(word):
     # Longer words first, then lexicographic with X < XT.  This matches the
     # bit-exact class-id serialization ("xx*x", not "x*xx").
@@ -133,10 +129,6 @@ class FpfInvolution:
     @property
     def degree(self):
         return len(self.pairing) // 2
-
-    def cycles(self):
-        """Transpositions as sorted 1-indexed pairs, for display."""
-        return [(a + 1, b + 1) for a, b in enumerate(self.pairing) if a < b]
 
 
 def tau(d):

@@ -167,6 +167,21 @@ def test_verify_basis_mismatch_is_usage_error(capsys, tmp_path, basis):
     assert err.startswith("error: malformed relation file")
 
 
+@pytest.mark.parametrize("case", ["n_zero", "short_vector"])
+def test_verify_malformed_values_are_usage_error(capsys, tmp_path, case):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    if case == "n_zero":
+        obj["n"] = 0                                 # no 0 x 0 sample is nonzero
+    else:
+        obj["relations"][1] = obj["relations"][1][:4]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: malformed relation file")
+
+
 def test_verify_dependent_relations_fail(capsys, tmp_path):
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
     rel = obj["relations"][0]

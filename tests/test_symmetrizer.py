@@ -75,11 +75,21 @@ def _fact(n):
     return out
 
 
+def _inversion_sign(p):
+    inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+    return -1 if inversions % 2 else 1
+
+
 def test_column_group_signs():
     t = enumerate_standard_tableaux((1, 1))[0]
     elems = dict(column_group(t))
     assert elems[(0, 1)] == 1
     assert elems[(1, 0)] == -1
+    for size in range(1, 7):
+        for shape in all_partitions(size):
+            for t in enumerate_standard_tableaux(shape):
+                for p, sign in column_group(t):
+                    assert sign == _inversion_sign(p)
 
 
 def test_young_symmetrizer_trivial_shapes():
@@ -147,6 +157,22 @@ def test_symmetrizer_relation_space(n):
     basis = enumerate_invariant_basis(n + 1)
     for i, rel in enumerate(rs.relations):
         assert verify_relation(rel, n, n + 1, 20, stream(1, "t", i), basis=basis)
+
+
+# The exact vectors the engine selects: tableau order, the product order of
+# y_T and the normalization all show here, not only in the span.
+PINNED_RELATIONS = {
+    1: [(1, 0, -1), (1, -1, 0)],
+    2: [(2, 0, -3, 0, 1), (1, -1, -1, 1, 0)],
+    3: [(6, 0, 0, 0, -8, 0, -3, 0, 6, 0, 0, -1),
+        (2, -2, 0, 0, -2, 2, -1, 1, 1, 0, -1, 0),
+        (1, 2, -2, -1, -2, 2, 0, -1, 1, 1, -1, 0)],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetrizer_relations_pinned(n):
+    assert list(symmetrizer_relation_space(n, CFG).relations) == PINNED_RELATIONS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
