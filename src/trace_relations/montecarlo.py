@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .dimensions import stable_range
@@ -79,73 +79,194 @@ def build_evaluation_matrix(n, d, m, config, basis=None):
     return rows
 
 
+def _integer_row(row):
+    """The row itself if every entry is an int, else it times the lcm of its
+    denominators."""
+    if all(isinstance(e, int) for e in row):
+        return row
+    fr = [Fraction(e) for e in row]
+    denom = lcm(*(f.denominator for f in fr))
+    return [int(f * denom) for f in fr]
+
+
 def normalize_vector(vec):
     """Primitive integer vector with positive leading nonzero coordinate."""
-    fracs = [Fraction(v) for v in vec]
-    if all(f == 0 for f in fracs):
+    ints = _integer_row(vec)
+    if not any(ints):
         raise ValueError("cannot normalize the zero vector")
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
     g = gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def _is_prime(q):
+    # Miller-Rabin with these bases is exact for odd 37 < q < 3.3e24.
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The fixed moduli of `nullspace`: 2^61 - 1, then the primes below it in
+    descending order."""
+    q = 2 ** 61 - 1
+    while True:
+        if _is_prime(q):
+            yield q
+        q -= 2
+
+
+def _rref_mod(rows, p):
+    """Reduced row echelon form of integer rows over GF(p):
+    (pivot columns, the nonzero rows).
+
+    Each row is packed into one int, entry j in the j-th slot of `width`
+    bits, so a row update is one big-int multiply-add.  Slots stay
+    nonnegative and are not reduced between updates: a pivot row is reduced
+    below p before use, and a row takes at most one update (< p^2) per
+    pivot, so no slot reaches 2^width.
+    """
+    k = len(rows[0])
+    size = (2 * p.bit_length() + k.bit_length() + 8) // 8    # bytes per slot
+    width, mask = 8 * size, (1 << 8 * size) - 1
+
+    def pack(entries):
+        return int.from_bytes(b"".join([e.to_bytes(size, "little")
+                                        for e in entries]), "little")
+
+    def unpack(x):
+        b = x.to_bytes(k * size, "little")
+        return [int.from_bytes(b[j:j + size], "little") % p
+                for j in range(0, k * size, size)]
+
+    mat = [pack([e % p for e in row]) for row in rows]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        fs = [(x >> c * width & mask) % p for x in mat]
+        pr = next((i for i in range(r, len(mat)) if fs[i]), None)
+        if pr is None:
+            continue
+        inv = pow(fs[pr], -1, p)
+        prow = pack([e * inv % p for e in unpack(mat[pr])])
+        mat[pr], mat[r] = mat[r], prow
+        fs[pr], fs[r] = fs[r], 0
+        for i, f in enumerate(fs):
+            if f:
+                mat[i] += (p - f) * prow
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return pivots, [unpack(x) for x in mat[:len(pivots)]]
+
+
+def _rational(r, modulus, bound):
+    """(a, b) with a = b r mod modulus, |a| <= bound, 0 < b <= bound and
+    gcd(a, b) = 1, or None (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = modulus, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(fc, pivots, column, modulus, k):
+    """Primitive integer vector with 1 at free column fc and -column[i] at
+    pivot column pivots[i], lifted from residues mod modulus; None if some
+    entry has no rational reconstruction."""
+    bound = isqrt(modulus // 2)
+    fracs = [_rational(-x % modulus, modulus, bound) for x in column]
+    if None in fracs:
+        return None
+    denom = lcm(*(b for _, b in fracs))
+    vec = [0] * k
+    vec[fc] = denom
+    for pc, (a, b) in zip(pivots, fracs):
+        vec[pc] = a * (denom // b)
+    return normalize_vector(vec)
+
+
+def _annihilates(cols, vec):
+    # M v = 0, summed over the support of v only: fc and the pivots below it.
+    acc = [0] * len(cols[0])
+    for c, col in zip(vec, cols):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, col)]
+    return not any(acc)
 
 
 def nullspace(rows):
-    """Exact basis of {v : Mv = 0} via fraction-free (Bareiss) elimination.
+    """Exact basis of {v : Mv = 0}, one primitive integer vector per free
+    column, in column order.
 
-    Accepts integer or rational entries; output vectors are normalized
-    primitive integer tuples, one per free column, in column order.
+    Accepts integer or rational entries; a rational row is scaled by the lcm
+    of its denominators.  The reduced row echelon form over GF(p),
+    p = 2^61 - 1, gives for each free column fc the vector with 1 at fc and
+    -R[i][fc] at each pivot column below fc.  Each entry is lifted to a
+    rational by rational reconstruction, the vector is scaled to a primitive
+    integer vector with positive leading entry, and M v = 0 is checked
+    exactly over the integer rows.
+
+    Certificate: the vectors are independent, since each is 1 at its own
+    free column and 0 at the others.  If all k - rank_p of them pass, then
+    dim ker_Q >= k - rank_p >= k - rank_Q = dim ker_Q, so they span ker_Q,
+    and they are its unique basis in this reduced form.
+
+    If a lift or a check fails, further primes from `_primes` are taken.
+    Residues of primes whose pivot columns are the best seen so far (most
+    pivots, then earliest) are combined by CRT, and the lift is repeated
+    against their product until every vector passes.  No unchecked vector
+    is returned.
     """
     if not rows:
         raise ValueError("matrix needs at least one row")
-    m, k = len(rows), len(rows[0])
-    mat = []
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("ragged matrix")
-        fr = [Fraction(e) for e in row]
-        denom = lcm(*(f.denominator for f in fr)) if fr else 1
-        mat.append([int(f * denom) for f in fr])
-
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pr is None:
+    k = len(rows[0])
+    if any(len(row) != k for row in rows):
+        raise ValueError("ragged matrix")
+    mat = [_integer_row(row) for row in rows]
+    cols = list(zip(*mat))
+    best = residues = modulus = None
+    for p in _primes():
+        pivots, reduced = _rref_mod(mat, p)
+        # a prime that loses rank loses pivots or moves them later
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, residues, modulus = key, reduced, p
+        elif key == best:
+            # CRT: x = x1 + modulus * ((x2 - x1) / modulus mod p)
+            inv = pow(modulus, -1, p)
+            residues = [[x + modulus * ((y - x) * inv % p)
+                         for x, y in zip(row, prow)]
+                        for row, prow in zip(residues, reduced)]
+            modulus *= p
+        else:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, m):
-            mic = mat[i][c]
-            row_i, row_r = mat[i], mat[r]
-            for j in range(c + 1, k):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-
-    rank = len(piv_cols)
-    piv_set = set(piv_cols)
-    basis = []
-    for fc in (c for c in range(k) if c not in piv_set):
-        v = [Fraction(0)] * k
-        v[fc] = Fraction(1)
-        for i in reversed(range(rank)):
-            pc = piv_cols[i]
-            if pc > fc:
+        basis = []
+        piv_set = set(pivots)
+        for fc in range(k):
+            if fc in piv_set:
                 continue
-            s = sum(mat[i][j] * v[j] for j in range(pc + 1, k) if v[j])
-            v[pc] = Fraction(-s, mat[i][pc])
-        basis.append(normalize_vector(v))
-    return basis
+            # R[i][fc] is 0 at every pivot column after fc
+            vec = _lift(fc, pivots, [row[fc] for row in residues], modulus, k)
+            if vec is None or not _annihilates(cols, vec):
+                break
+            basis.append(vec)
+        else:
+            return basis
 
 
 def rank_of(rows):
@@ -262,6 +383,23 @@ def _last_nonzero(vec):
     return max(i for i, c in enumerate(vec) if c)
 
 
+def _in_reduced_span(u, ends):
+    """True iff u lies in the span of a reduced basis given as
+    {free column f: its vector v_f}.
+
+    Each v_f is zero at the other free columns, so the only candidate is
+    u = sum_f (u[f] / v_f[f]) v_f; it is checked exactly, scaled by the lcm
+    of the v_f[f] it uses.
+    """
+    used = [(u[f], v[f], v) for f, v in ends.items() if u[f]]
+    denom = lcm(*(vf for _, vf, _ in used))
+    rest = [denom * c for c in u]
+    for uf, vf, v in used:
+        s = uf * (denom // vf)
+        rest = [r - s * x for r, x in zip(rest, v)]
+    return not any(rest)
+
+
 def find_relations(n, d, config):
     """Certified basis of the degree-d relation space for the O(n) action.
 
@@ -279,19 +417,22 @@ def find_relations(n, d, config):
         relations = kernel
     else:
         ambient = certified_kernel(n + 1, d, config, basis=basis)
+        # nullspace gives one vector per free column, whose last nonzero
+        # coordinate is that column and which is zero at the other free
+        # columns.
+        ends = {_last_nonzero(v): v for v in kernel}
         # Every (n+1) relation holds on n x n matrices (embed x as
         # diag(x, 0)), so the ambient kernel lies in the n kernel.  Check it:
         # the quotient below is only right if it holds.
-        if rank_of(kernel + ambient) != len(kernel):
+        if not all(_in_reduced_span(u, ends) for u in ambient):
             raise KernelCertificationError(
                 f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
                 f"n={n}; sampler configuration looks pathological")
-        # nullspace gives one vector per free column, whose last nonzero
-        # coordinate is that column.  Given the containment, a kernel vector
-        # is independent of the ambient kernel and the earlier kernel
-        # vectors exactly when no ambient vector ends at its free column.
+        # Given the containment, a kernel vector is independent of the
+        # ambient kernel and the earlier kernel vectors exactly when no
+        # ambient vector ends at its free column.
         taken = {_last_nonzero(u) for u in ambient}
-        relations = [v for v in kernel if _last_nonzero(v) not in taken]
+        relations = [v for f, v in ends.items() if f not in taken]
     return RelationSet(n=n, d=d,
                        basis=tuple(m.encode() for m in basis),
                        relations=tuple(relations),

@@ -194,6 +194,19 @@ def test_verify_dependent_relations_fail(capsys, tmp_path):
     assert "rank 1 of 3" in err
 
 
+def test_verify_big_dependent_relation_fails(capsys, tmp_path):
+    # the golden relation times 2^80 passes on its own, but the rank check
+    # must still see it as dependent through entries past one 61-bit prime
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["relations"].append([str(2 ** 80 * int(c)) for c in obj["relations"][0]])
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(big))
+    assert rc == 4
+    assert out.splitlines() == [f"relation {i}: PASS" for i in range(3)]
+    assert "rank 2 of 3" in err
+
+
 @pytest.mark.parametrize("drop", ["d", "relations", "entry_bound"])
 def test_verify_missing_key_is_usage_error(capsys, tmp_path, drop):
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())

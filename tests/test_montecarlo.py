@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -73,27 +75,97 @@ def test_nullspace_vectors_annihilate_matrix(rows):
             assert sum(c * e for c, e in zip(v, row)) == 0
 
 
-def _frac_rank(rows):
+def _frac_rref(rows):
+    """Pivot columns and nonzero rows of the reduced row echelon form, by
+    plain rational Gauss-Jordan elimination."""
     rows = [[Fraction(e) for e in r] for r in rows]
     rank, k = 0, len(rows[0])
+    pivots = []
     for c in range(k):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [a / rows[rank][c] for a in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / rows[rank][c]
+                f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(c)
         rank += 1
-    return rank
+    return pivots, rows[:rank]
+
+
+def _frac_rank(rows):
+    return len(_frac_rref(rows)[0])
+
+
+def _frac_nullspace(rows):
+    # one vector per free column fc: 1 at fc, -R[i][fc] at pivot column i,
+    # scaled to a primitive integer vector with positive leading entry
+    pivots, reduced = _frac_rref(rows)
+    basis = []
+    for fc in range(len(rows[0])):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * len(rows[0])
+        v[fc] = Fraction(1)
+        for pc, row in zip(pivots, reduced):
+            v[pc] = -row[fc]
+        denom = math.lcm(*(c.denominator for c in v))
+        ints = [int(c * denom) for c in v]
+        g = math.gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
+        basis.append(tuple(c // g for c in ints))
+    return basis
 
 
 @given(matrix_strategy)
 @settings(max_examples=60)
 def test_nullspace_dimension_matches_independent_rank(rows):
-    # rank via plain rational Gaussian elimination, independent of Bareiss
+    # rank via plain rational Gaussian elimination, independent of the
+    # modular elimination in nullspace
     assert len(nullspace(rows)) == len(rows[0]) - _frac_rank(rows)
+
+
+def _matrices(bound):
+    return st.integers(2, 5).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=k, max_size=k),
+            min_size=1, max_size=7))
+
+
+@given(st.one_of(_matrices(9), _matrices(2 ** 70)))
+@settings(max_examples=80, deadline=None)
+def test_nullspace_matches_rational_rref(rows):
+    assert nullspace(rows) == _frac_nullspace(rows)
+
+
+def test_nullspace_entry_past_one_prime_bound():
+    # -1/2^40 has a denominator above sqrt(p/2) ~ 2^30: a second prime is
+    # needed before it can be reconstructed
+    assert nullspace([[2 ** 40, 1]]) == [(1, -2 ** 40)]
+
+
+def test_nullspace_unlucky_first_prime():
+    # the first row vanishes mod 2^61 - 1, so that prime sees rank 1 and
+    # proposes (1, 0); only the exact check rejects it
+    assert nullspace([[2 ** 61 - 1, 0], [0, 1]]) == []
+    assert rank_of([[2 ** 61 - 1, 0], [0, 1]]) == 2
+
+
+def test_moduli_are_descending_primes():
+    small = [q for q in range(41, 5000, 2)
+             if all(q % f for f in range(3, math.isqrt(q) + 1, 2))]
+    assert [q for q in range(41, 5000, 2) if montecarlo._is_prime(q)] == small
+    first = list(itertools.islice(montecarlo._primes(), 3))
+    assert first == [2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45]
+
+
+def test_nullspace_entries_wider_than_a_prime():
+    a, b, c, e = 3 ** 50, 5 ** 40, 7 ** 30, 11 ** 25
+    vec = (b * e, -a * e, a * c)
+    assert max(abs(x).bit_length() for x in vec) > 61
+    assert nullspace([[a, b, 0], [0, c, e]]) == [vec]
 
 
 def test_rank_of():
