@@ -136,7 +136,7 @@ def _rref_mod(rows, p):
     bits, so a row update is one big-int multiply-add.  Slots stay
     nonnegative and are not reduced between updates: a pivot row is reduced
     below p before use, and a row takes at most one update (< p^2) per
-    pivot, so no slot reaches 2^width.
+    pivot, so a slot stays below p + k p^2 < 2^width.
     """
     k = len(rows[0])
     size = (2 * p.bit_length() + k.bit_length() + 8) // 8    # bytes per slot
@@ -383,23 +383,6 @@ def _last_nonzero(vec):
     return max(i for i, c in enumerate(vec) if c)
 
 
-def _in_reduced_span(u, ends):
-    """True iff u lies in the span of a reduced basis given as
-    {free column f: its vector v_f}.
-
-    Each v_f is zero at the other free columns, so the only candidate is
-    u = sum_f (u[f] / v_f[f]) v_f; it is checked exactly, scaled by the lcm
-    of the v_f[f] it uses.
-    """
-    used = [(u[f], v[f], v) for f, v in ends.items() if u[f]]
-    denom = lcm(*(vf for _, vf, _ in used))
-    rest = [denom * c for c in u]
-    for uf, vf, v in used:
-        s = uf * (denom // vf)
-        rest = [r - s * x for r, x in zip(rest, v)]
-    return not any(rest)
-
-
 def find_relations(n, d, config):
     """Certified basis of the degree-d relation space for the O(n) action.
 
@@ -417,22 +400,19 @@ def find_relations(n, d, config):
         relations = kernel
     else:
         ambient = certified_kernel(n + 1, d, config, basis=basis)
-        # nullspace gives one vector per free column, whose last nonzero
-        # coordinate is that column and which is zero at the other free
-        # columns.
-        ends = {_last_nonzero(v): v for v in kernel}
         # Every (n+1) relation holds on n x n matrices (embed x as
         # diag(x, 0)), so the ambient kernel lies in the n kernel.  Check it:
         # the quotient below is only right if it holds.
-        if not all(_in_reduced_span(u, ends) for u in ambient):
+        if rank_of(kernel + ambient) != len(kernel):
             raise KernelCertificationError(
                 f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
                 f"n={n}; sampler configuration looks pathological")
-        # Given the containment, a kernel vector is independent of the
-        # ambient kernel and the earlier kernel vectors exactly when no
-        # ambient vector ends at its free column.
+        # nullspace gives one vector per free column, whose last nonzero
+        # coordinate is that column.  Given the containment, a kernel vector
+        # is independent of the ambient kernel and the earlier kernel
+        # vectors exactly when no ambient vector ends at its free column.
         taken = {_last_nonzero(u) for u in ambient}
-        relations = [v for f, v in ends.items() if f not in taken]
+        relations = [v for v in kernel if _last_nonzero(v) not in taken]
     return RelationSet(n=n, d=d,
                        basis=tuple(m.encode() for m in basis),
                        relations=tuple(relations),
