@@ -1,4 +1,4 @@
-"""Command-line surface: enumerate, relations, dims, verify, bench.
+"""Command-line surface: enumerate, relations, dims, verify.
 
 Exit codes: 0 ok, 2 usage error, 3 resource cap, 4 certification failure.
 """
@@ -11,7 +11,6 @@ import random
 import sys
 import time
 
-from .evaluate import ContractionCapError
 from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, SamplerConfig,
                          find_relations, rank_of, rel_dimension_table, stream,
@@ -142,27 +141,6 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    config = _config_from(args)
-    t0 = time.perf_counter()
-    mc = find_relations(args.n, args.d, config)
-    mc_time = time.perf_counter() - t0
-    print(f"montecarlo: {len(mc.relations)} relations in {mc_time:.3f}s")
-    if args.d != args.n + 1:
-        print("symmetrizer: not applicable (requires d = n + 1)")
-        return EXIT_OK
-    if args.n > DEFAULT_SYMMETRIZER_N_CAP and not args.allow_long:
-        print(f"symmetrizer: refused for n={args.n} without --allow-long")
-        return EXIT_OK
-    t0 = time.perf_counter()
-    ys = symmetrizer_relation_space(args.n, config, allow_long=args.allow_long)
-    ys_time = time.perf_counter() - t0
-    print(f"symmetrizer: {len(ys.relations)} relations in {ys_time:.3f}s")
-    faster = "montecarlo" if mc_time <= ys_time else "symmetrizer"
-    print(f"faster: {faster}")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="trace-relations",
@@ -204,12 +182,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time both engines on one (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--allow-long", action="store_true")
-    _add_sampler_flags(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -218,7 +190,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapError, ContractionCapError) as exc:
+    except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except KernelCertificationError as exc:

@@ -1,10 +1,6 @@
-"""Closed-form counts: relation-space dimension, stable range, Catalan and
-perfect-matching counts, and the parts-at-most-two partition enumeration that
-mirrors the two-column fit criterion."""
+"""Closed-form counts: relation-space dimension and stable range."""
 
 from __future__ import annotations
-
-from math import comb, factorial
 
 
 def rel_dim_formula(n):
@@ -22,31 +18,3 @@ def stable_range(d, n):
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     return d <= n
-
-
-def fpf_count(d):
-    """(2d)! / (2^d d!) = (2d-1)!!, the number of perfect matchings on 2d points."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return factorial(2 * d) // (2 ** d * factorial(d))
-
-
-def catalan(m):
-    if m < 1:
-        raise ValueError("m must be positive")
-    return comb(2 * m, m) // (m + 1)
-
-
-def two_part_partitions(m):
-    """Partitions of m with every part <= 2, most twos first.
-
-    These are exactly the shapes fitting inside the two-column diagram with m
-    rows; their count equals rel_dim_formula(m - 1).
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    out = []
-    for twos in range(m // 2, -1, -1):
-        ones = m - 2 * twos
-        out.append((2,) * twos + (1,) * ones)
-    return out

@@ -1,24 +1,13 @@
-"""Evaluation of trace-word invariants on concrete matrices.
-
-Also provides the independent tensor-contraction oracle used to certify the
-matching -> trace-word bijection convention.
-"""
+"""Evaluation of trace-word invariants on concrete matrices."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .words import X, XT, FpfInvolution, InvariantMonomial, _env_cap
-
-DEFAULT_CONTRACTION_CELL_CAP = 10_000_000
-
-
-class ContractionCapError(Exception):
-    """Contraction state space n^d exceeds the configured cap."""
+from .words import X, XT, InvariantMonomial
 
 
 @dataclass(frozen=True)
@@ -33,9 +22,6 @@ class MatrixSample:
         object.__setattr__(self, "entries", rows)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
-
-    def transpose(self):
-        return MatrixSample(self.n, tuple(zip(*self.entries)))
 
 
 def _mul(a, bt):
@@ -116,32 +102,3 @@ def evaluate_word(word, x):
     """Tr of the matrix product spelled by the word (X -> x, XT -> x^T)."""
     return evaluate_monomial(InvariantMonomial((word,)), x)
 
-
-def contract_matching(inv, x, cell_cap=None):
-    """Full contraction of d copies of x along a perfect matching of slots.
-
-    Independent oracle for involution_to_monomial: sums over all assignments
-    of {0..n-1} to slots that are constant on matched pairs, of the product
-    over factors f of x[i(2f), i(2f+1)].  Cost n^d * d; kept deliberately
-    separate from the trace-word evaluation path.
-    """
-    if not isinstance(inv, FpfInvolution):
-        inv = FpfInvolution(tuple(inv))
-    d = inv.degree
-    n = x.n
-    cap = cell_cap
-    if cap is None:
-        cap = _env_cap(DEFAULT_CONTRACTION_CELL_CAP)
-    if n ** d > cap:
-        raise ContractionCapError(f"contraction needs {n**d} index assignments, cap {cap}")
-    pairs = [(a, b) for a, b in enumerate(inv.pairing) if a < b]
-    total = 0
-    for assignment in itertools.product(range(n), repeat=d):
-        slot_val = [0] * (2 * d)
-        for (a, b), v in zip(pairs, assignment):
-            slot_val[a] = slot_val[b] = v
-        term = 1
-        for f in range(d):
-            term = term * x.entries[slot_val[2 * f]][slot_val[2 * f + 1]]
-        total = total + term
-    return total

@@ -28,7 +28,7 @@ METHOD_SYMMETRIZER = "symmetrizer"
 
 
 class KernelCertificationError(Exception):
-    """Escalation exhausted without a kernel that verifies on fresh samples."""
+    """A computed relation basis failed certification (CLI exit 4)."""
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ span the relation space.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
-from .montecarlo import (METHOD_SYMMETRIZER, RelationSet, SamplerConfig,
-                         normalize_vector, rank_of, stream, verify_relation)
+from .montecarlo import (METHOD_SYMMETRIZER, KernelCertificationError,
+                         RelationSet, SamplerConfig, normalize_vector, rank_of,
+                         stream, verify_relation)
 from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
                     enumerate_invariant_basis, tau)
 
@@ -166,13 +166,6 @@ def young_symmetrizer(t):
     return algebra_multiply(dict.fromkeys(row_group(t), 1), dict(column_group(t)))
 
 
-def symmetrizer_term_count(t):
-    """Pre-combination term count |row group| * |column group|."""
-    rows = math.prod(math.factorial(r) for r in t.shape)
-    cols = math.prod(math.factorial(len(c)) for c in t.columns())
-    return rows * cols
-
-
 @lru_cache(maxsize=None)
 def _basis_index(d):
     """class id -> coordinate in the degree-d invariant basis."""
@@ -211,7 +204,8 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
         raise ValueError("n must be positive")
     if n > DEFAULT_SYMMETRIZER_N_CAP and not allow_long:
         raise EnumerationCapError(
-            f"symmetrizer run for n={n} is long-running; pass allow_long=True")
+            f"symmetrizer run for n={n} is long-running; pass --allow-long "
+            "(allow_long=True)")
     if config is None:
         config = SamplerConfig(seed=0)
     d = n + 1
@@ -225,13 +219,14 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
             selected.append(list(vec))
     expected = rel_dim_formula(n)
     if len(selected) != expected:
-        raise RuntimeError(
+        raise KernelCertificationError(
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
     vrng = stream(config.seed, "ys-verify", n)
     for vec in selected:
         if not verify_relation(tuple(vec), n, d, config.verify_trials, vrng,
                                basis=basis, config=config):
-            raise RuntimeError("projected symmetrizer failed exact verification")
+            raise KernelCertificationError(
+                "projected symmetrizer failed exact verification")
     return RelationSet(n=n, d=d,
                        basis=tuple(m.encode() for m in basis),
                        relations=tuple(tuple(v) for v in selected),

@@ -24,7 +24,6 @@ XT = 1  # letter for a factor x^T
 
 _LETTER_CHARS = {X: "x", XT: "t"}
 
-DEFAULT_INVOLUTION_CAP = 8   # (2d-1)!! growth; 8 -> 2,027,025 involutions
 DEFAULT_BASIS_CAP = 14       # direct word-multiset generation stays cheap
 
 _CAP_ENV = "TRACE_RELATIONS_CAP"
@@ -32,13 +31,6 @@ _CAP_ENV = "TRACE_RELATIONS_CAP"
 
 class EnumerationCapError(Exception):
     """Requested enumeration exceeds the configured resource cap."""
-
-
-def _env_cap(default):
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return default
-    return int(raw)
 
 
 def canonicalize_letters(letters):
@@ -141,34 +133,6 @@ def tau(d):
     return FpfInvolution(tuple(p))
 
 
-def enumerate_fpf_involutions(d):
-    """All (2d-1)!! fixed-point-free involutions on 2d points, deterministic order."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    cap = _env_cap(DEFAULT_INVOLUTION_CAP)
-    if d > cap:
-        raise EnumerationCapError(
-            f"involution enumeration for d={d} exceeds cap {cap}; "
-            f"set {_CAP_ENV} to override")
-    out = []
-    pairing = [-1] * (2 * d)
-
-    def rec():
-        try:
-            a = pairing.index(-1)
-        except ValueError:
-            out.append(FpfInvolution(tuple(pairing)))
-            return
-        for b in range(a + 1, 2 * d):
-            if pairing[b] == -1:
-                pairing[a], pairing[b] = b, a
-                rec()
-                pairing[a] = pairing[b] = -1
-
-    rec()
-    return out
-
-
 def involution_to_monomial(inv):
     """Trace-word multiset of a matching under the left/right slot convention.
 
@@ -211,12 +175,12 @@ def canonical_words(length):
 def enumerate_invariant_basis(d):
     """Ordered degree-d spanning set; fixes the coordinate system for relations.
 
-    Generated directly as multisets of canonical words (no involution
-    enumeration), so it works past the involution cap.
+    Generated directly as multisets of canonical words, without enumerating
+    the (2d-1)!! matchings.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    cap = _env_cap(DEFAULT_BASIS_CAP)
+    cap = int(os.environ.get(_CAP_ENV, DEFAULT_BASIS_CAP))
     if d > cap:
         raise EnumerationCapError(
             f"basis enumeration for d={d} exceeds cap {cap}; "

@@ -1,0 +1,97 @@
+"""Brute-force oracles and closed-form counts that only the tests use.
+
+They check the package from outside: the tensor contraction certifies the
+matching -> trace-word convention, the matching enumeration certifies the
+invariant basis, and the counts (perfect matchings, Catalan numbers,
+parts-at-most-two partitions, symmetrizer terms) check the closed form
+`rel_dim_formula` and the tableau and group sizes.
+"""
+
+import itertools
+from math import comb, factorial, prod
+
+from trace_relations.evaluate import MatrixSample
+from trace_relations.words import FpfInvolution
+
+
+def transpose(x):
+    return MatrixSample(x.n, tuple(zip(*x.entries)))
+
+
+def enumerate_fpf_involutions(d):
+    """All (2d-1)!! fixed-point-free involutions on 2d points, deterministic order."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    out = []
+    pairing = [-1] * (2 * d)
+
+    def rec():
+        try:
+            a = pairing.index(-1)
+        except ValueError:
+            out.append(FpfInvolution(tuple(pairing)))
+            return
+        for b in range(a + 1, 2 * d):
+            if pairing[b] == -1:
+                pairing[a], pairing[b] = b, a
+                rec()
+                pairing[a] = pairing[b] = -1
+
+    rec()
+    return out
+
+
+def contract_matching(inv, x):
+    """Full contraction of d copies of x along a perfect matching of slots.
+
+    Sums over all assignments of {0..n-1} to slots that are constant on
+    matched pairs, of the product over factors f of x[i(2f), i(2f+1)].
+    Cost n^d * d; deliberately separate from the trace-word evaluation path.
+    """
+    d = inv.degree
+    pairs = [(a, b) for a, b in enumerate(inv.pairing) if a < b]
+    total = 0
+    for assignment in itertools.product(range(x.n), repeat=d):
+        slot_val = [0] * (2 * d)
+        for (a, b), v in zip(pairs, assignment):
+            slot_val[a] = slot_val[b] = v
+        term = 1
+        for f in range(d):
+            term = term * x.entries[slot_val[2 * f]][slot_val[2 * f + 1]]
+        total = total + term
+    return total
+
+
+def symmetrizer_term_count(t):
+    """Pre-combination term count |row group| * |column group|."""
+    rows = prod(factorial(r) for r in t.shape)
+    cols = prod(factorial(len(c)) for c in t.columns())
+    return rows * cols
+
+
+def fpf_count(d):
+    """(2d)! / (2^d d!) = (2d-1)!!, the number of perfect matchings on 2d points."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    return factorial(2 * d) // (2 ** d * factorial(d))
+
+
+def catalan(m):
+    if m < 1:
+        raise ValueError("m must be positive")
+    return comb(2 * m, m) // (m + 1)
+
+
+def two_part_partitions(m):
+    """Partitions of m with every part <= 2, most twos first.
+
+    These are exactly the shapes fitting inside the two-column diagram with m
+    rows; their count equals rel_dim_formula(m - 1).
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    out = []
+    for twos in range(m // 2, -1, -1):
+        ones = m - 2 * twos
+        out.append((2,) * twos + (1,) * ones)
+    return out

@@ -12,19 +12,20 @@ import time
 
 import pytest
 
-from trace_relations.dimensions import catalan, fpf_count, rel_dim_formula, two_part_partitions
-from trace_relations.evaluate import MatrixSample, contract_matching, evaluate_monomial
+from trace_relations.dimensions import rel_dim_formula
+from trace_relations.evaluate import MatrixSample, evaluate_monomial
 from trace_relations.montecarlo import (SamplerConfig, find_relations, rank_of,
                                         stream, verify_relation)
 from trace_relations.symmetrizer import (enumerate_standard_tableaux,
                                          symmetrizer_relation_space,
-                                         symmetrizer_term_count,
                                          two_column_shape)
 from trace_relations.words import (canonicalize_letters,
-                                   enumerate_fpf_involutions,
                                    enumerate_invariant_basis,
                                    involution_to_monomial, tau)
 from trace_relations.cli import main as cli_main
+
+from oracles import (catalan, contract_matching, enumerate_fpf_involutions,
+                     fpf_count, symmetrizer_term_count, two_part_partitions)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 CFG = SamplerConfig(seed=20260824)

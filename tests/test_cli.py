@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from trace_relations import symmetrizer
 from trace_relations.cli import main
 from trace_relations.montecarlo import RelationSet
 
@@ -259,22 +260,37 @@ def test_dims_rejects_nonpositive_sizes(capsys, flags):
     assert err == "error: --max-d and --max-n must be >= 1\n"
 
 
-def test_bench_small(capsys):
-    rc, out, _ = run(capsys, "bench", "--n", "2", "--d", "3", "--seed", "1")
+def test_dims_compute_stable_matches_skipped_cells(capsys):
+    # every stable-range cell computes to 0, the value reported without the flag
+    argv = ("dims", "--max-d", "4", "--max-n", "4", "--seed", "5")
+    rc, skipped, _ = run(capsys, *argv)
     assert rc == 0
-    assert "montecarlo: 2 relations" in out
-    assert "symmetrizer: 2 relations" in out
-    assert "faster:" in out
-
-
-def test_bench_off_diagonal(capsys):
-    rc, out, _ = run(capsys, "bench", "--n", "3", "--d", "3", "--seed", "1")
+    rc, computed, _ = run(capsys, *argv, "--compute-stable")
     assert rc == 0
-    assert "not applicable" in out
+    assert computed == skipped
 
 
-def test_bench_refuses_long_symmetrizer(capsys):
-    rc, out, _ = run(capsys, "bench", "--n", "4", "--d", "5", "--seed", "1")
-    assert rc == 0
-    assert "montecarlo: 3 relations" in out
-    assert "refused" in out
+def test_bench_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "2", "--d", "3", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_relations_symmetrizer_long_run_needs_allow_long(capsys):
+    rc, out, err = run(capsys, "relations", "--n", "4", "--d", "5",
+                       "--method", "symmetrizer", "--seed", "1")
+    assert rc == 3
+    assert out == ""
+    assert "--allow-long" in err
+
+
+@pytest.mark.parametrize("patch", [("rel_dim_formula", lambda n: 99),
+                                   ("verify_relation", lambda *a, **k: False)],
+                         ids=["rank_mismatch", "failed_verification"])
+def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch):
+    monkeypatch.setattr(symmetrizer, *patch)
+    rc, out, err = run(capsys, "relations", "--n", "1", "--d", "2",
+                       "--method", "symmetrizer", "--seed", "1")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: ")

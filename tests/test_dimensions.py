@@ -1,9 +1,9 @@
 import pytest
 
-from trace_relations.dimensions import (
-    catalan, fpf_count, rel_dim_formula, stable_range, two_part_partitions)
+from trace_relations.dimensions import rel_dim_formula, stable_range
 from trace_relations.symmetrizer import enumerate_standard_tableaux, two_column_shape
-from trace_relations.words import enumerate_fpf_involutions
+
+from oracles import catalan, enumerate_fpf_involutions, fpf_count, two_part_partitions
 
 
 @pytest.mark.parametrize("n,dim", [(1, 2), (2, 2), (3, 3), (4, 3), (5, 4), (8, 5)])
