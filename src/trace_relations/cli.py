@@ -13,8 +13,8 @@ import time
 
 from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, SamplerConfig,
-                         find_relations, rank_of, rel_dimension_table, stream,
-                         verify_relation)
+                         certification_trials, find_relations, rank_of,
+                         rel_dimension_table, stream, verify_relation)
 from .symmetrizer import DEFAULT_SYMMETRIZER_N_CAP, symmetrizer_relation_space
 from .words import EnumerationCapError, enumerate_invariant_basis
 
@@ -32,7 +32,8 @@ def _add_sampler_flags(p):
     p.add_argument("--oversample", type=int, default=10,
                    help="extra evaluation rows beyond the basis size")
     p.add_argument("--verify-trials", type=int, default=20,
-                   help="fresh-sample certification trials per relation")
+                   help="floor on the fresh-sample certification trials per "
+                        "relation; more are run where a 2^-30 bound needs them")
 
 
 def _config_from(args):
@@ -120,12 +121,13 @@ def cmd_verify(args):
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")
         return EXIT_OK
+    trials = certification_trials(args.trials, rs.entry_bound, rs.d)
     seed = args.seed if args.seed is not None else rs.seed
     config = SamplerConfig(seed=seed, entry_bound=rs.entry_bound)
     failures = 0
     for i, rel in enumerate(rs.relations):
         rng = stream(seed, "cli-verify", i)
-        ok = verify_relation(rel, rs.n, rs.d, args.trials, rng,
+        ok = verify_relation(rel, rs.n, rs.d, trials, rng,
                              basis=basis, config=config)
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
@@ -178,7 +180,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-verify a relation file on fresh samples")
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=20,
+                   help="floor on the fresh-sample trials per relation, "
+                        "raised as for --verify-trials")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

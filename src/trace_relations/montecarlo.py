@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm, log2
 from operator import mul
 
 from .dimensions import stable_range
@@ -275,6 +275,26 @@ def rank_of(rows):
     return len(rows[0]) - len(nullspace(rows))
 
 
+CERTIFICATE_BITS = 30
+
+
+def certification_trials(verify_trials, entry_bound, d):
+    """Fresh-sample trials per relation: at least verify_trials, and enough
+    that a false degree-d relation passes all of them with probability at
+    most 2^-CERTIFICATE_BITS.
+
+    Schwartz-Zippel: a nonzero degree-d polynomial vanishes on entries
+    uniform in [-B, B] with probability at most d / (2B + 1); excluding the
+    zero matrix, on which every relation vanishes, only lowers that.  For
+    d >= 2B + 1 no bound holds, and this raises ValueError.
+    """
+    q = 2 * entry_bound + 1
+    if d >= q:
+        raise ValueError(f"degree {d} needs an entry bound B with 2B + 1 > d, "
+                         f"B >= {(d + 1) // 2}; got B = {entry_bound}")
+    return max(verify_trials, ceil(CERTIFICATE_BITS / log2(q / d)))
+
+
 def _vanish_on_fresh_samples(vectors, n, d, trials, rng, basis, config):
     """True iff every vector annihilates each of `trials` fresh samples.
 
@@ -368,11 +388,11 @@ def certified_kernel(n, d, config, basis=None):
         cfg = replace(config,
                       seed=f"{config.seed}:n{n}:attempt{attempt}",
                       entry_bound=config.entry_bound * 2 ** attempt)
+        trials = certification_trials(cfg.verify_trials, cfg.entry_bound, d)
         rows = build_evaluation_matrix(n, d, k + cfg.oversample, cfg, basis=basis)
         vectors = nullspace(rows)
         vrng = stream(config.seed, "verify", n, attempt)
-        if _vanish_on_fresh_samples(vectors, n, d, cfg.verify_trials, vrng,
-                                    basis, cfg):
+        if _vanish_on_fresh_samples(vectors, n, d, trials, vrng, basis, cfg):
             return vectors
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "

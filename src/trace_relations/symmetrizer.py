@@ -3,9 +3,17 @@
 For the two-column shape with n+1 rows, each standard tableau T gives a
 symmetrizer y_T = (sum over row group) * (signed sum over column group) in
 the group algebra of S_{2(n+1)}.  Conjugating the canonical pair-matching by
-every term of y_T and collecting terms by necklace class projects y_T onto a
+y_T and collecting matchings by necklace class projects y_T onto a
 coefficient vector over the degree-(n+1) invariant basis; the nonzero images
 span the relation space.
+
+y_T is never expanded.  It factors into one (1 + (a b)) per row and, per
+column, the coset factors (1 - sum_{i<m} (c_i c_m)); conjugating a matching
+by a transposition only swaps two labels.  So `project_tableau` carries a
+sparse vector over the (2n+1)!! matchings through the factors one at a
+time, instead of conjugating once per each of the 2^(n+1) ((n+1)!)^2 terms
+(460,800 at n = 4).  `young_symmetrizer` and `project_to_invariants` keep
+the expanded route as the exact oracle for small n.
 """
 
 from __future__ import annotations
@@ -16,12 +24,12 @@ from functools import lru_cache
 
 from .dimensions import rel_dim_formula
 from .montecarlo import (METHOD_SYMMETRIZER, KernelCertificationError,
-                         RelationSet, SamplerConfig, normalize_vector, rank_of,
-                         stream, verify_relation)
+                         RelationSet, SamplerConfig, certification_trials,
+                         normalize_vector, rank_of, stream, verify_relation)
 from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
                     enumerate_invariant_basis, tau)
 
-DEFAULT_SYMMETRIZER_N_CAP = 3   # n=4 means 42 symmetrizers x 460,800 terms
+DEFAULT_SYMMETRIZER_N_CAP = 4   # n=5: 132 tableaux over 10,395 matchings, seconds
 
 
 def check_partition(shape):
@@ -178,23 +186,71 @@ def _class_index(pairing):
     return _basis_index(len(pairing) // 2)[class_of_involution(FpfInvolution(pairing))]
 
 
+def _class_vector(terms, d):
+    """Sum (matching, c) terms into their necklace-class coordinates of the
+    degree-d basis; nonzero results are normalized, the zero vector is
+    returned as-is."""
+    coeffs = [0] * len(_basis_index(d))
+    for matching, c in terms:
+        coeffs[_class_index(matching)] += c
+    if not any(coeffs):
+        return tuple(coeffs)
+    return normalize_vector(coeffs)
+
+
 def project_to_invariants(y, n):
     """Coefficient vector of y over the degree-(n+1) basis.
 
     Each term (sigma, c) contributes c to the necklace class of the matching
-    sigma^{-1} tau sigma.  Nonzero results are normalized; the zero vector is
-    returned as-is.
+    sigma^{-1} tau sigma.
     """
-    d = n + 1
-    t = tau(d).pairing
-    coeffs = [0] * len(_basis_index(d))
-    for sigma, c in y.items():
-        inv_sigma = invert(sigma)
-        conj = tuple([inv_sigma[t[s]] for s in sigma])
-        coeffs[_class_index(conj)] += c
-    if all(v == 0 for v in coeffs):
-        return tuple(coeffs)
-    return normalize_vector(coeffs)
+    t = tau(n + 1).pairing
+    return _class_vector(((_conjugate(t, sigma), c) for sigma, c in y.items()),
+                         n + 1)
+
+
+def _conjugate(m, sigma):
+    """The matching sigma^{-1} m sigma."""
+    inv_sigma = invert(sigma)
+    return tuple([inv_sigma[m[s]] for s in sigma])
+
+
+def _coset_factors(blocks, sign):
+    """Factors 1 + sign * sum_{i<m} (b_i b_m), m = 1..len(b)-1, for each block
+    b.  Their product is the sum over the permutations of each block, each
+    weighted by sign**(number of transpositions)."""
+    return [[(b[i], b[m], sign) for i in range(m)]
+            for b in blocks for m in range(1, len(b))]
+
+
+def _swap_labels(m, a, b):
+    """The matching (a b) m (a b): labels a and b trade partners."""
+    ma, mb = m[a], m[b]
+    if ma == b:
+        return m
+    p = list(m)
+    p[a], p[b], p[ma], p[mb] = mb, ma, b, a
+    return tuple(p)
+
+
+def project_tableau(t):
+    """project_to_invariants(young_symmetrizer(t), n) without forming y_T.
+
+    Conjugation m -> sigma^{-1} m sigma is a right action, so tau . y_T is
+    tau acted on by the factors of y_T in product order: the row factors,
+    then the column factors (signed).  The vector over matchings is at most
+    (2d-1)!! entries, however many terms y_T has.
+    """
+    d = t.size // 2
+    vec = {tau(d).pairing: 1}
+    for factor in _coset_factors(t.rows, 1) + _coset_factors(t.columns(), -1):
+        out = dict(vec)
+        for m, c in vec.items():
+            for a, b, sign in factor:
+                m2 = _swap_labels(m, a, b)
+                out[m2] = out.get(m2, 0) + sign * c
+        vec = {m: c for m, c in out.items() if c}
+    return _class_vector(vec.items(), d)
 
 
 def symmetrizer_relation_space(n, config=None, allow_long=False):
@@ -209,12 +265,13 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
     if config is None:
         config = SamplerConfig(seed=0)
     d = n + 1
+    trials = certification_trials(config.verify_trials, config.entry_bound, d)
     basis = enumerate_invariant_basis(d)
     shape = two_column_shape(n)
     tableaux = enumerate_standard_tableaux(shape)
     selected = []
     for t in tableaux:
-        vec = project_to_invariants(young_symmetrizer(t), n)
+        vec = project_tableau(t)
         if rank_of(selected + [list(vec)]) > len(selected):
             selected.append(list(vec))
     expected = rel_dim_formula(n)
@@ -223,7 +280,7 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
     vrng = stream(config.seed, "ys-verify", n)
     for vec in selected:
-        if not verify_relation(tuple(vec), n, d, config.verify_trials, vrng,
+        if not verify_relation(tuple(vec), n, d, trials, vrng,
                                basis=basis, config=config):
             raise KernelCertificationError(
                 "projected symmetrizer failed exact verification")

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The optional long n=4
+Run with `pytest tests/test_acceptance.py -v -s`.  The optional long n=5
 symmetrizer check is enabled by setting TRACE_RELATIONS_LONG=1.
 """
 
@@ -17,8 +17,9 @@ from trace_relations.evaluate import MatrixSample, evaluate_monomial
 from trace_relations.montecarlo import (SamplerConfig, find_relations, rank_of,
                                         stream, verify_relation)
 from trace_relations.symmetrizer import (enumerate_standard_tableaux,
+                                         project_tableau, project_to_invariants,
                                          symmetrizer_relation_space,
-                                         two_column_shape)
+                                         two_column_shape, young_symmetrizer)
 from trace_relations.words import (canonicalize_letters,
                                    enumerate_invariant_basis,
                                    involution_to_monomial, tau)
@@ -93,7 +94,7 @@ def test_criterion_4_cross_engine_ranks(capsys):
     with capsys.disabled():
         t0 = time.perf_counter()
         ok = True
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             mc = find_relations(n, n + 1, CFG)
             ys = symmetrizer_relation_space(n, CFG)
             r = rel_dim_formula(n)
@@ -103,27 +104,30 @@ def test_criterion_4_cross_engine_ranks(capsys):
             ok = ok and ranks == (r, r, r)
         elapsed = time.perf_counter() - t0
         ok = ok and elapsed < 120
-        report(f"4 cross-engine rank equality n=1..3 ({elapsed:.1f}s)", ok)
+        report(f"4 cross-engine rank equality n=1..4 ({elapsed:.1f}s)", ok)
 
 
 @pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
-                    reason="long n=4 symmetrizer run; set TRACE_RELATIONS_LONG=1")
+                    reason="long n=5 symmetrizer run; set TRACE_RELATIONS_LONG=1")
 def test_criterion_4_long_n4(capsys):
     with capsys.disabled():
         tableaux = enumerate_standard_tableaux(two_column_shape(4))
         ok = len(tableaux) == 42
         ok = ok and all(symmetrizer_term_count(t) == 460_800 for t in tableaux)
+        # one n=4 tableau through the 460,800-term expansion
+        ok = ok and (project_tableau(tableaux[0])
+                     == project_to_invariants(young_symmetrizer(tableaux[0]), 4))
         t0 = time.perf_counter()
-        mc = find_relations(4, 5, CFG)
+        mc = find_relations(5, 6, CFG)
         mc_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        ys = symmetrizer_relation_space(4, CFG, allow_long=True)
+        ys = symmetrizer_relation_space(5, CFG, allow_long=True)
         ys_time = time.perf_counter() - t0
-        r = rel_dim_formula(4)
+        r = rel_dim_formula(5)
         ok = ok and len(mc.relations) == len(ys.relations) == r
         ok = ok and rank_of([list(v) for v in mc.relations + ys.relations]) == r
         ok = ok and mc_time < ys_time
-        report(f"4L n=4 long run (mc {mc_time:.1f}s, ys {ys_time:.1f}s)", ok)
+        report(f"4L n=5 long run (mc {mc_time:.1f}s, ys {ys_time:.1f}s)", ok)
 
 
 def test_criterion_5_counting_identities(capsys):

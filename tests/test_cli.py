@@ -277,11 +277,21 @@ def test_bench_is_usage_error():
 
 
 def test_relations_symmetrizer_long_run_needs_allow_long(capsys):
-    rc, out, err = run(capsys, "relations", "--n", "4", "--d", "5",
+    rc, out, err = run(capsys, "relations", "--n", "5", "--d", "6",
                        "--method", "symmetrizer", "--seed", "1")
     assert rc == 3
     assert out == ""
     assert "--allow-long" in err
+
+
+@pytest.mark.parametrize("method", ["montecarlo", "symmetrizer"])
+def test_relations_entry_bound_too_small_for_degree(capsys, method):
+    # 2B + 1 = 3 <= d: no Schwartz-Zippel bound holds for any trial count
+    rc, out, err = run(capsys, "relations", "--n", "2", "--d", "3",
+                       "--entry-bound", "1", "--method", method, "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: degree 3 needs an entry bound")
 
 
 @pytest.mark.parametrize("patch", [("rel_dim_formula", lambda n: 99),

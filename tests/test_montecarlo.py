@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from trace_relations import montecarlo
 from trace_relations.cli import main
 from trace_relations.montecarlo import (
     KernelCertificationError, RelationSet, SamplerConfig,
-    build_evaluation_matrix, certified_kernel, find_relations, normalize_vector,
+    build_evaluation_matrix, certification_trials, certified_kernel,
+    find_relations, normalize_vector,
     nullspace, rank_of, rel_dimension_table, sample_matrix, stream,
     verify_relation)
 from trace_relations.words import enumerate_invariant_basis
@@ -194,9 +196,17 @@ def test_find_relations_n2_d4():
 
 def test_theorem_diagonal():
     from trace_relations.dimensions import rel_dim_formula
-    for n in range(1, 6):
+    for n in range(1, 8):
         rs = find_relations(n, n + 1, CFG)
         assert len(rs.relations) == rel_dim_formula(n)
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="long diagonal cells; set TRACE_RELATIONS_LONG=1")
+@pytest.mark.parametrize("n", [8, 9])
+def test_theorem_diagonal_long(n):
+    from trace_relations.dimensions import rel_dim_formula
+    assert len(find_relations(n, n + 1, CFG).relations) == rel_dim_formula(n)
 
 
 def test_relations_vanish_only_on_smaller_matrices():
@@ -279,6 +289,46 @@ def test_certified_kernel_rejects_spurious_vector(monkeypatch, position):
     monkeypatch.setattr(montecarlo, "nullspace", padded)
     with pytest.raises(KernelCertificationError):
         certified_kernel(2, 3, CFG)
+
+
+def test_certification_trials_meet_the_bound_at_every_degree():
+    # unchanged wherever B = 10 and d <= 7; d = 8 needs more than the floor
+    assert [certification_trials(20, 10, d) for d in range(1, 8)] == [20] * 7
+    assert certification_trials(20, 10, 8) == 22
+    assert certification_trials(40, 10, 8) == 40
+    for b in (1, 2, 10, 80):
+        for d in range(1, 2 * b + 1):
+            trials = certification_trials(1, b, d)
+            per_trial = math.log2(d / (2 * b + 1))
+            assert trials * per_trial <= -30
+            assert trials == 1 or (trials - 1) * per_trial > -30
+
+
+@pytest.mark.parametrize("b,d", [(1, 3), (1, 4), (10, 21), (10, 30)])
+def test_certification_trials_refuse_degree_past_entry_range(b, d):
+    with pytest.raises(ValueError):
+        certification_trials(20, b, d)
+
+
+def test_engines_run_the_derived_trial_count(monkeypatch):
+    # B = 2, d = 3: (3/5)^41 <= 2^-30 < (3/5)^40, so 41 trials, not 20
+    from trace_relations.symmetrizer import symmetrizer_relation_space
+    cfg = SamplerConfig(seed=3, entry_bound=2)
+    seen = []
+    true_vanish = montecarlo._vanish_on_fresh_samples
+
+    def recording(vectors, n, d, trials, *rest):
+        seen.append(trials)
+        return true_vanish(vectors, n, d, trials, *rest)
+
+    monkeypatch.setattr(montecarlo, "_vanish_on_fresh_samples", recording)
+    find_relations(2, 3, cfg)
+    assert seen[0] == 41
+    assert seen == [certification_trials(20, 2 * 2 ** a, 3)
+                    for a in range(len(seen))]
+    seen.clear()
+    symmetrizer_relation_space(2, cfg)
+    assert seen == [41, 41]
 
 
 def test_verify_rejects_ambiguous_coefficient_variant():

@@ -4,11 +4,12 @@ from trace_relations.dimensions import rel_dim_formula
 from trace_relations.montecarlo import SamplerConfig, find_relations, rank_of, stream, verify_relation
 from trace_relations.symmetrizer import (
     StandardTableau, algebra_multiply, column_group, compose,
-    enumerate_standard_tableaux, invert, project_to_invariants, row_group,
-    symmetrizer_relation_space, two_column_shape, young_symmetrizer)
+    enumerate_standard_tableaux, invert, project_tableau,
+    project_to_invariants, row_group, symmetrizer_relation_space,
+    two_column_shape, young_symmetrizer)
 from trace_relations.words import EnumerationCapError, enumerate_invariant_basis
 
-from oracles import symmetrizer_term_count
+from oracles import symmetrizer_term_count, two_part_partitions
 
 CFG = SamplerConfig(seed=11)
 
@@ -150,6 +151,21 @@ def test_project_zero_vector_passthrough():
     assert project_to_invariants(y, 1) == (0, 0, 0)
 
 
+def test_project_tableau_matches_expanded_symmetrizer():
+    # The shape (2, ..., 2) for n <= 3, and every at-most-two-column shape
+    # up to 6 boxes, whose column antisymmetrizers often cancel to zero.
+    tableaux = [t for d in (1, 2, 3) for shape in two_part_partitions(2 * d)
+                for t in enumerate_standard_tableaux(shape)]
+    tableaux += enumerate_standard_tableaux(two_column_shape(3))
+    zero = 0
+    for t in tableaux:
+        n = t.size // 2 - 1
+        vec = project_tableau(t)
+        assert vec == project_to_invariants(young_symmetrizer(t), n)
+        zero += not any(vec)
+    assert 0 < zero < len(tableaux)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetrizer_relation_space(n):
     rs = symmetrizer_relation_space(n, CFG)
@@ -168,15 +184,18 @@ PINNED_RELATIONS = {
     3: [(6, 0, 0, 0, -8, 0, -3, 0, 6, 0, 0, -1),
         (2, -2, 0, 0, -2, 2, -1, 1, 1, 0, -1, 0),
         (1, 2, -2, -1, -2, 2, 0, -1, 1, 1, -1, 0)],
+    4: [(24, 0, 0, 0, -30, 0, 0, 0, -20, 0, 20, 0, 0, 0, 15, 0, -10, 0, 0, 1),
+        (6, -6, 0, 0, -6, 6, 0, 0, -5, 2, 3, 3, 0, -3, 3, -3, -1, 0, 1, 0),
+        (2, 6, -4, -4, -4, -2, 4, 2, -1, -2, 3, -1, 4, -3, 1, 1, -1, -2, 1, 0)],
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrizer_relations_pinned(n):
     assert list(symmetrizer_relation_space(n, CFG).relations) == PINNED_RELATIONS[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cross_engine_span_agreement(n):
     ys = symmetrizer_relation_space(n, CFG)
     mc = find_relations(n, n + 1, CFG)
@@ -197,4 +216,4 @@ def test_symmetrizer_projections_land_in_mc_span():
 
 def test_long_run_gate():
     with pytest.raises(EnumerationCapError):
-        symmetrizer_relation_space(4, CFG)
+        symmetrizer_relation_space(5, CFG)
