@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import chain
 
 from .words import X, XT, InvariantMonomial
 
@@ -20,18 +20,37 @@ class MatrixSample:
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
+        if self.n < 1:
+            raise ValueError("n must be positive")
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
 
 
-def _mul(a, bt):
-    """a . b, given the rows of a and the rows of b^T (the columns of b)."""
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+@lru_cache(maxsize=None)
+def _kernels(n):
+    """(mul, trace_mul) on flat row-major n x n tuples, unrolled for this n.
 
+    mul(a, b) is a . b and trace_mul(a, b) is Tr(a . b).  Both are compiled
+    once per n from straight-line source built from integers only: unpack
+    the entries, then one tuple or sum expression, so the arithmetic is the
+    entries' own + and *.
+    """
+    idx = range(n)
 
-def _trace_mul(a, bt):
-    """Tr(a . b) from the rows of a and of b^T, in n^2 products."""
-    return sum(sum(map(mul, row, col)) for row, col in zip(a, bt))
+    def unpack(v):
+        return ", ".join(f"{v}{i}" for i in range(n * n)) + f", = {v}"
+
+    def dot(i, j):
+        return " + ".join(f"a{i * n + k}*b{k * n + j}" for k in idx)
+
+    head = f"(a, b):\n    {unpack('a')}\n    {unpack('b')}\n    return "
+    src = (f"def mul{head}({', '.join(dot(i, j) for i in idx for j in idx)},)\n"
+           f"def trace_mul{head}{' + '.join(f'({dot(i, i)})' for i in idx)}\n")
+    ns = {}
+    exec(src, ns)
+    # Popping leaves no function in its own __globals__, so a cleared cache
+    # frees the kernels at once instead of waiting for the cycle collector.
+    return ns.pop("mul"), ns.pop("trace_mul")
 
 
 @dataclass(frozen=True)
@@ -76,20 +95,24 @@ def evaluate_basis_row(d, x, basis):
     """Values of every basis invariant on one sample, in basis order.
 
     Each distinct word is traced once, its product built one matmul beyond
-    its prefix's; monomials are products of those traces.  Arithmetic is
-    that of the entries, so exact entries give exact values.
+    its prefix's; monomials are products of those traces.  Matrices are
+    flat row-major tuples run through the per-n unrolled kernels of
+    `_kernels`.  Arithmetic is that of the entries, so exact entries give
+    exact values.
     """
     plan = _basis_plan(tuple(basis))
     if any(deg != d for deg in plan.degrees):
         raise ValueError("basis degree mismatch")
-    rows = x.entries
-    # transposes[letter] holds the rows of factor(letter)^T
-    transposes = (tuple(zip(*rows)), rows)
-    prods = [rows, transposes[0]]
+    n = x.n
+    mul, trace_mul = _kernels(n)
+    factors = (tuple(chain.from_iterable(x.entries)),
+               tuple(chain.from_iterable(zip(*x.entries))))
+    prods = list(factors)
     for parent, letter in plan.steps:
-        prods.append(_mul(prods[parent], transposes[letter]))
-    traces = [_trace_mul(prods[parent], transposes[letter]) if parent is not None
-              else sum(rows[i][i] for i in range(x.n))
+        prods.append(mul(prods[parent], factors[letter]))
+    trace_x = sum(factors[0][::n + 1])
+    traces = [trace_mul(prods[parent], factors[letter]) if parent is not None
+              else trace_x
               for parent, letter in plan.words]
     return [math.prod([traces[i] for i in mono]) for mono in plan.monomials]
 

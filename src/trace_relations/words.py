@@ -88,6 +88,11 @@ class InvariantMonomial:
         if not ws:
             raise ValueError("invariant monomial needs at least one word")
         object.__setattr__(self, "words", ws)
+        # Bases are hashed as cache keys once per evaluated row; hash once.
+        object.__setattr__(self, "_hash", hash(ws))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self):

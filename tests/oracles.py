@@ -4,13 +4,18 @@ They check the package from outside: the tensor contraction certifies the
 matching -> trace-word convention, the matching enumeration certifies the
 invariant basis, and the counts (perfect matchings, Catalan numbers,
 parts-at-most-two partitions, symmetrizer terms) check the closed form
-`rel_dim_formula` and the tableau and group sizes.
+`rel_dim_formula` and the tableau and group sizes.  The cached
+quasi-idempotency sweep is shared by the tests that assert on it.
 """
 
+import functools
 import itertools
 from math import comb, factorial, prod
 
 from trace_relations.evaluate import MatrixSample
+from trace_relations.symmetrizer import (algebra_multiply,
+                                         enumerate_standard_tableaux,
+                                         young_symmetrizer)
 from trace_relations.words import FpfInvolution
 
 
@@ -80,6 +85,37 @@ def catalan(m):
     if m < 1:
         raise ValueError("m must be positive")
     return comb(2 * m, m) // (m + 1)
+
+
+def all_partitions(n, mx=None):
+    """Partitions of n with parts at most mx, largest parts first."""
+    if mx is None:
+        mx = n
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, mx), 0, -1):
+        for rest in all_partitions(n - p, p):
+            yield (p,) + rest
+
+
+@functools.cache
+def quasi_idempotency_failures(size):
+    """Standard tableaux of `size` boxes whose y_T fails y_T^2 = c y_T, c != 0.
+
+    Cached so that the tests sharing this sweep run it once per session.
+    """
+    failures = []
+    for shape in all_partitions(size):
+        for t in enumerate_standard_tableaux(shape):
+            y = young_symmetrizer(t)
+            yy = algebra_multiply(y, y)
+            p0, c0 = next(iter(y.items()))
+            c = yy.get(p0, 0) / c0
+            if not (c != 0 and set(yy) == set(y)
+                    and all(yy[p] == c * cv for p, cv in y.items())):
+                failures.append(t)
+    return tuple(failures)
 
 
 def two_part_partitions(m):

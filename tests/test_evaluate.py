@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trace_relations.evaluate import (
-    MatrixSample, evaluate_basis_row, evaluate_monomial, evaluate_word)
+    MatrixSample, _kernels, evaluate_basis_row, evaluate_monomial, evaluate_word)
 from trace_relations.words import (
     X, XT, InvariantMonomial, TraceWord, enumerate_invariant_basis,
     involution_to_monomial, tau)
@@ -24,6 +26,8 @@ def random_int_matrix(n, rng, bound=5):
 def test_matrix_sample_validation():
     with pytest.raises(ValueError):
         MatrixSample(2, ((1, 2),))
+    with pytest.raises(ValueError):
+        MatrixSample(0, ())
 
 
 def test_evaluate_word_examples():
@@ -141,17 +145,62 @@ def _naive_monomial(monomial, x):
     return val
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_basis_row_matches_per_monomial_evaluation(d):
     basis = enumerate_invariant_basis(d)
     rng = random.Random(f"row/{d}")
-    for n in range(1, 6):
+    for n in range(1, 7):
         for bound in (10, 80):
             x = random_int_matrix(n, rng, bound)
             row = evaluate_basis_row(d, x, basis)
             assert row == [evaluate_monomial(m, x) for m in basis]
             assert row == [_naive_monomial(m, x) for m in basis]
             assert evaluate_basis_row(d, x, tuple(basis)) == row
+
+
+def test_basis_row_fraction_sample():
+    rng = random.Random(8)
+    x = mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+             for _ in range(3)])
+    basis = enumerate_invariant_basis(5)
+    row = evaluate_basis_row(5, x, basis)
+    assert row == [_naive_monomial(m, x) for m in basis]
+    assert any(Fraction(v).denominator != 1 for v in row)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernels_match_triple_loops(n):
+    mul, trace_mul = _kernels(n)
+    rng = random.Random(f"kernels/{n}")
+    for _ in range(3):
+        a = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        ab = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    ab[i][j] += a[i][k] * b[k][j]
+        flat_a = tuple(e for row in a for e in row)
+        flat_b = tuple(e for row in b for e in row)
+        assert mul(flat_a, flat_b) == tuple(e for row in ab for e in row)
+        assert trace_mul(flat_a, flat_b) == sum(ab[i][i] for i in range(n))
+
+
+def test_kernels_are_freed_without_the_cycle_collector():
+    # A kernel whose __globals__ still held the kernel itself would form a
+    # reference cycle and outlive a cache clear until gc.collect().
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _kernels.cache_clear()
+        mul, trace_mul = _kernels(4)
+        ref = weakref.ref(mul)
+        _kernels.cache_clear()
+        del mul, trace_mul
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_basis_row_complex_sample():
