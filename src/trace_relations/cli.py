@@ -30,7 +30,9 @@ def _add_sampler_flags(p):
     p.add_argument("--entry-bound", type=int, default=10,
                    help="sample entries are uniform integers in [-B, B]")
     p.add_argument("--oversample", type=int, default=10,
-                   help="extra evaluation rows beyond the basis size")
+                   help="stop drawing evaluation rows after this many in a row "
+                        "leave the rank unchanged, at most k + oversample rows; "
+                        "a small value can cost escalations, never the result")
     p.add_argument("--verify-trials", type=int, default=20,
                    help="floor on the fresh-sample certification trials per "
                         "relation; more are run where a 2^-30 bound needs them")

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count, islice
 from math import ceil, gcd, isqrt, lcm, log2
 from operator import mul
 
@@ -67,16 +68,18 @@ def _sample_nonzero(n, rng, config):
             return x
 
 
+def _evaluation_rows(n, d, config, basis):
+    """Row j, for j = 0, 1, ...: the basis invariants on the j-th sample."""
+    for j in count():
+        x = sample_matrix(n, stream(config.seed, "row", j), config)
+        yield evaluate_basis_row(d, x, basis)
+
+
 def build_evaluation_matrix(n, d, m, config, basis=None):
     """m x k matrix whose row j holds the basis invariants on the j-th sample."""
     if basis is None:
         basis = enumerate_invariant_basis(d)
-    rows = []
-    for j in range(m):
-        rng = stream(config.seed, "row", j)
-        x = sample_matrix(n, rng, config)
-        rows.append(evaluate_basis_row(d, x, basis))
-    return rows
+    return list(islice(_evaluation_rows(n, d, config, basis), m))
 
 
 def _integer_row(row):
@@ -118,58 +121,102 @@ def _is_prime(q):
     return True
 
 
+FIRST_PRIME = 2 ** 61 - 1
+
+
 def _primes():
     """The fixed moduli of `nullspace`: 2^61 - 1, then the primes below it in
     descending order."""
-    q = 2 ** 61 - 1
+    q = FIRST_PRIME
     while True:
         if _is_prime(q):
             yield q
         q -= 2
 
 
-def _rref_mod(rows, p):
-    """Reduced row echelon form of integer rows over GF(p):
-    (pivot columns, the nonzero rows).
+class _Echelon:
+    """Row echelon form over GF(p) of integer rows fed one at a time.
 
     Each row is packed into one int, entry j in the j-th slot of `width`
     bits, so a row update is one big-int multiply-add.  Slots stay
     nonnegative and are not reduced between updates: a pivot row is reduced
     below p before use, and a row takes at most one update (< p^2) per
     pivot, so a slot stays below p + k p^2 < 2^width.
-    """
-    k = len(rows[0])
-    size = (2 * p.bit_length() + k.bit_length() + 8) // 8    # bytes per slot
-    width, mask = 8 * size, (1 << 8 * size) - 1
 
-    def pack(entries):
+    A fed row is reduced against the pivot rows in insertion order; each
+    pivot row is zero at the pivot columns of the rows before it, so what
+    survives is zero at every pivot column and becomes a pivot row, scaled to
+    a leading 1.  Every nonzero vector of the row space leads at a pivot
+    column of its reduced row echelon form, so these leading columns are
+    exactly its pivot columns.
+    """
+
+    def __init__(self, k, p):
+        self.k, self.p = k, p
+        self.size = (2 * p.bit_length() + k.bit_length() + 8) // 8  # bytes per slot
+        self.width, self.mask = 8 * self.size, (1 << 8 * self.size) - 1
+        self.pivots = []        # leading column of each pivot row
+        self.rows = []          # packed pivot rows, slots below p
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def _pack(self, entries):
+        size = self.size
         return int.from_bytes(b"".join([e.to_bytes(size, "little")
                                         for e in entries]), "little")
 
-    def unpack(x):
-        b = x.to_bytes(k * size, "little")
+    def _unpack(self, x):
+        size, p = self.size, self.p
+        b = x.to_bytes(self.k * size, "little")
         return [int.from_bytes(b[j:j + size], "little") % p
-                for j in range(0, k * size, size)]
+                for j in range(0, len(b), size)]
 
-    mat = [pack([e % p for e in row]) for row in rows]
-    pivots = []
-    for c in range(k):
-        r = len(pivots)
-        fs = [(x >> c * width & mask) % p for x in mat]
-        pr = next((i for i in range(r, len(mat)) if fs[i]), None)
-        if pr is None:
-            continue
-        inv = pow(fs[pr], -1, p)
-        prow = pack([e * inv % p for e in unpack(mat[pr])])
-        mat[pr], mat[r] = mat[r], prow
-        fs[pr], fs[r] = fs[r], 0
-        for i, f in enumerate(fs):
+    def _reduce(self, x, pivots, rows):
+        p, width, mask = self.p, self.width, self.mask
+        for c, prow in zip(pivots, rows):
+            f = (x >> c * width & mask) % p
             if f:
-                mat[i] += (p - f) * prow
-        pivots.append(c)
-        if len(pivots) == len(mat):
+                x += (p - f) * prow
+        return self._unpack(x)
+
+    def add(self, row):
+        """Feed one integer row; True iff it raised the rank."""
+        p = self.p
+        entries = self._reduce(self._pack([e % p for e in row]),
+                               self.pivots, self.rows)
+        lead = next((j for j, e in enumerate(entries) if e), None)
+        if lead is None:
+            return False
+        inv = pow(entries[lead], -1, p)
+        self.pivots.append(lead)
+        self.rows.append(self._pack([e * inv % p for e in entries]))
+        return True
+
+    def rref(self):
+        """(pivot columns in order, the nonzero rows of the reduced row
+        echelon form) by one back-substitution pass: from the last pivot row
+        to the first, clear each at the pivot columns of the rows after it,
+        which are already clear at every other pivot column."""
+        rows = list(self.rows)
+        reduced = [None] * len(rows)
+        for i in reversed(range(len(rows))):
+            reduced[i] = self._reduce(rows[i], self.pivots[i + 1:], rows[i + 1:])
+            rows[i] = self._pack(reduced[i])
+        order = sorted(range(len(rows)), key=self.pivots.__getitem__)
+        return [self.pivots[i] for i in order], [reduced[i] for i in order]
+
+
+def _rref_mod(rows, p):
+    """Reduced row echelon form of integer rows over GF(p):
+    (pivot columns, the nonzero rows)."""
+    echelon = _Echelon(len(rows[0]), p)
+    for row in rows:
+        echelon.add(row)
+        if echelon.rank == echelon.k:
             break
-    return pivots, [unpack(x) for x in mat[:len(pivots)]]
+    return echelon.rref()
 
 
 def _rational(r, modulus, bound):
@@ -209,7 +256,7 @@ def _annihilates(cols, vec):
     return not any(acc)
 
 
-def nullspace(rows):
+def nullspace(rows, echelon=None):
     """Exact basis of {v : Mv = 0}, one primitive integer vector per free
     column, in column order.
 
@@ -231,6 +278,9 @@ def nullspace(rows):
     pivots, then earliest) are combined by CRT, and the lift is repeated
     against their product until every vector passes.  No unchecked vector
     is returned.
+
+    `echelon`, if given, is an `_Echelon` over FIRST_PRIME already fed with
+    exactly these rows; it stands in for the first prime's elimination.
     """
     if not rows:
         raise ValueError("matrix needs at least one row")
@@ -241,7 +291,10 @@ def nullspace(rows):
     cols = list(zip(*mat))
     best = residues = modulus = None
     for p in _primes():
-        pivots, reduced = _rref_mod(mat, p)
+        if echelon is not None and p == echelon.p:
+            pivots, reduced = echelon.rref()
+        else:
+            pivots, reduced = _rref_mod(mat, p)
         # a prime that loses rank loses pivots or moves them later
         key = (-len(pivots), pivots)
         if best is None or key < best:
@@ -377,20 +430,47 @@ class RelationSet:
 MAX_ESCALATIONS = 3
 
 
+def _draw_rows(n, d, config, basis):
+    """A prefix of build_evaluation_matrix(n, d, k + oversample, config) and
+    its echelon form over GF(FIRST_PRIME).
+
+    Rows are drawn until the rank reaches k, or `oversample` (>= 1)
+    consecutive rows leave it unchanged, or k + oversample rows are drawn.
+    """
+    k = len(basis)
+    echelon = _Echelon(k, FIRST_PRIME)
+    rows = []
+    idle = 0
+    for row in islice(_evaluation_rows(n, d, config, basis), k + config.oversample):
+        rows.append(row)
+        idle = 0 if echelon.add(row) else idle + 1
+        if echelon.rank == k or idle == config.oversample > 0:
+            break
+    return rows, echelon
+
+
 def certified_kernel(n, d, config, basis=None):
-    """Nullspace of the oversampled evaluation matrix on n x n samples,
-    with every vector re-verified on fresh draws; escalates the entry bound
-    (doubling, reseeded) on verification failure."""
+    """Nullspace of the evaluation matrix on n x n samples, with every vector
+    re-verified on fresh draws; escalates the entry bound (doubling,
+    reseeded) on verification failure.
+
+    Rows are drawn one at a time, and drawing stops once `oversample`
+    consecutive rows leave the GF(p) rank unchanged, or the rank reaches k;
+    never more than k + oversample rows are drawn.  The rows are a prefix of
+    the k + oversample rows of build_evaluation_matrix, whose kernel contains
+    the true one.  A prefix that stops before the rank has settled only
+    yields extra vectors, which certification rejects, so a small
+    oversample can cost escalations but never changes the result.
+    """
     if basis is None:
         basis = enumerate_invariant_basis(d)
-    k = len(basis)
     for attempt in range(MAX_ESCALATIONS + 1):
         cfg = replace(config,
                       seed=f"{config.seed}:n{n}:attempt{attempt}",
                       entry_bound=config.entry_bound * 2 ** attempt)
         trials = certification_trials(cfg.verify_trials, cfg.entry_bound, d)
-        rows = build_evaluation_matrix(n, d, k + cfg.oversample, cfg, basis=basis)
-        vectors = nullspace(rows)
+        rows, echelon = _draw_rows(n, d, cfg, basis)
+        vectors = nullspace(rows, echelon)
         vrng = stream(config.seed, "verify", n, attempt)
         if _vanish_on_fresh_samples(vectors, n, d, trials, vrng, basis, cfg):
             return vectors

@@ -181,7 +181,8 @@ def enumerate_invariant_basis(d):
     """Ordered degree-d spanning set; fixes the coordinate system for relations.
 
     Generated directly as multisets of canonical words, without enumerating
-    the (2d-1)!! matchings.
+    the (2d-1)!! matchings.  The cap is checked on every call; below it, each
+    d has one cached tuple, so callers share the very monomial objects.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -190,6 +191,11 @@ def enumerate_invariant_basis(d):
         raise EnumerationCapError(
             f"basis enumeration for d={d} exceeds cap {cap}; "
             f"set {_CAP_ENV} to override")
+    return _invariant_basis(d)
+
+
+@lru_cache(maxsize=None)
+def _invariant_basis(d):
     pool = sorted((w for m in range(1, d + 1) for w in canonical_words(m)),
                   key=_word_key)
     out = []
@@ -204,7 +210,7 @@ def enumerate_invariant_basis(d):
                 rec(j, remaining - len(w), acc + [w])
 
     rec(0, d, [])
-    return sorted(out, key=InvariantMonomial.sort_key)
+    return tuple(sorted(out, key=InvariantMonomial.sort_key))
 
 
 def class_of_involution(inv):

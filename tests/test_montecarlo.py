@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,67 @@ def test_nullspace_entries_wider_than_a_prime():
     assert nullspace([[a, b, 0], [0, c, e]]) == [vec]
 
 
+P = montecarlo.FIRST_PRIME
+
+
+def _residue(x):
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def _entries():
+    return st.one_of(st.integers(-9, 9), st.just(0),
+                     st.integers(-3, 3).map(lambda m: m * P),
+                     st.integers(-2 ** 8, 2 ** 8).map(lambda m: m + 2 ** 70),
+                     st.integers(-2 ** 8, 2 ** 8).map(lambda m: m - 2 ** 70))
+
+
+def _deficient(k):
+    # rank-deficient by construction: every row is a combination of two
+    rows = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    return st.tuples(rows, rows, st.lists(st.tuples(st.integers(-2, 2),
+                                                    st.integers(-2, 2)),
+                                          min_size=1, max_size=6)).map(
+        lambda t: [[a * x + b * y for x, y in zip(t[0], t[1])] for a, b in t[2]])
+
+
+def _elimination_matrices():
+    rows = st.integers(1, 6).flatmap(lambda k: st.one_of(
+        st.lists(st.lists(_entries(), min_size=k, max_size=k),
+                 min_size=1, max_size=7),
+        _deficient(k)))
+    # duplicate some row
+    return st.tuples(rows, st.integers(0, 6), st.booleans()).map(
+        lambda t: t[0] + [t[0][t[1] % len(t[0])]] if t[2] else t[0])
+
+
+@given(_elimination_matrices())
+@settings(max_examples=150, deadline=None)
+def test_incremental_elimination_matches_rref_oracle(rows):
+    echelon = montecarlo._Echelon(len(rows[0]), P)
+    raised = sum(echelon.add(row) for row in rows)
+    pivots, reduced = echelon.rref()
+    assert raised == echelon.rank == len(pivots)
+    assert montecarlo._rref_mod(rows, P) == (pivots, reduced)
+    # the rational RREF reduced mod p is the GF(p) one unless p divides one
+    # of its denominators or the rank drops mod p
+    frac_pivots, frac_rows = _frac_rref([[e % P for e in row] for row in rows])
+    if (len(frac_pivots) == len(pivots)
+            and all(x.denominator % P for row in frac_rows for x in row)):
+        assert frac_pivots == pivots
+        assert [[_residue(x) for x in row] for row in frac_rows] == reduced
+    # rows that are zero mod p, duplicated or dependent raise nothing
+    assert not echelon.add([P * e for e in rows[0]])
+    assert not echelon.add(rows[-1])
+
+
+def test_incremental_elimination_reduces_every_pivot_column():
+    # the third row leads at column 0, before the earlier pivots; the back
+    # substitution must still clear the first two rows at column 0
+    echelon = montecarlo._Echelon(3, P)
+    assert [echelon.add(r) for r in ([0, 1, 1], [0, 0, 2], [3, 1, 0])] == [True] * 3
+    assert echelon.rref() == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def test_rank_of():
     assert rank_of([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank_of([]) == 0
@@ -282,13 +344,75 @@ def test_certified_kernel_rejects_spurious_vector(monkeypatch, position):
     true_nullspace = montecarlo.nullspace
     bad = (1, 0, 0, 0, 0)
 
-    def padded(rows):
-        kernel = true_nullspace(rows)
+    def padded(rows, *args):
+        kernel = true_nullspace(rows, *args)
         return [bad] + kernel if position == "first" else kernel + [bad]
 
     monkeypatch.setattr(montecarlo, "nullspace", padded)
     with pytest.raises(KernelCertificationError):
         certified_kernel(2, 3, CFG)
+
+
+def _kernel_rows(monkeypatch):
+    # the evaluation rows that certified_kernel hands to nullspace, per call
+    seen = []
+    true_nullspace = montecarlo.nullspace
+
+    def recording(rows, *args):
+        seen.append(rows)
+        return true_nullspace(rows, *args)
+
+    monkeypatch.setattr(montecarlo, "nullspace", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n,d", [(1, 7), (2, 5), (3, 6), (4, 5)])
+def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, n, d):
+    seen = _kernel_rows(monkeypatch)
+    certified_kernel(n, d, CFG)
+    k = len(enumerate_invariant_basis(d))
+    first = replace(CFG, seed=f"{CFG.seed}:n{n}:attempt0")
+    full = build_evaluation_matrix(n, d, k + CFG.oversample, first)
+    assert 1 <= len(seen[0]) <= len(full)
+    assert seen[0] == full[:len(seen[0])]
+
+
+def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
+    # on 1 x 1 matrices every degree-7 invariant is a multiple of x^7: rank 1
+    seen = _kernel_rows(monkeypatch)
+    assert len(certified_kernel(1, 7, CFG)) == 75
+    assert len(seen) == 1 and len(seen[0]) <= 1 + CFG.oversample
+
+
+def test_certified_kernel_without_oversample_draws_k_rows(monkeypatch):
+    seen = _kernel_rows(monkeypatch)
+    certified_kernel(2, 5, replace(CFG, oversample=0))
+    assert [len(rows) for rows in seen] == [len(enumerate_invariant_basis(5))]
+
+
+def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
+    # one row leaves a kernel far larger than the true one; no escalation
+    # can certify it
+    true_draw = montecarlo._draw_rows
+
+    def one_row(n, d, config, basis):
+        rows, _ = true_draw(n, d, config, basis)
+        echelon = montecarlo._Echelon(len(basis), P)
+        echelon.add(rows[0])
+        return rows[:1], echelon
+
+    monkeypatch.setattr(montecarlo, "_draw_rows", one_row)
+    with pytest.raises(KernelCertificationError):
+        certified_kernel(2, 5, CFG)
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 6), (3, 6), (4, 7)])
+def test_relations_do_not_depend_on_oversample(n, d):
+    # a smaller oversample stops sooner and may escalate, never changes
+    # the certified result
+    results = {find_relations(n, d, SamplerConfig(seed=13, oversample=o)).relations
+               for o in (1, 2, 10)}
+    assert len(results) == 1
 
 
 def test_certification_trials_meet_the_bound_at_every_degree():

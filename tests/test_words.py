@@ -111,6 +111,16 @@ def test_basis_cap_env(monkeypatch):
     assert len(enumerate_invariant_basis(3)) == 5
 
 
+def test_basis_is_one_cached_tuple_per_degree(monkeypatch):
+    basis = enumerate_invariant_basis(4)
+    assert isinstance(basis, tuple)
+    assert enumerate_invariant_basis(4) is basis
+    # the cap is checked before the cache, so a cached degree still obeys it
+    monkeypatch.setenv("TRACE_RELATIONS_CAP", "3")
+    with pytest.raises(EnumerationCapError):
+        enumerate_invariant_basis(4)
+
+
 def test_basis_order_degree3():
     assert [m.encode() for m in enumerate_invariant_basis(3)] == \
         ["xxx", "xxt", "xx*x", "xt*x", "x*x*x"]
