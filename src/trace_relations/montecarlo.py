@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import ceil, gcd, isqrt, lcm, log2
 from operator import mul
 
@@ -85,7 +85,7 @@ def build_evaluation_matrix(n, d, m, config, basis=None):
 def _integer_row(row):
     """The row itself if every entry is an int, else it times the lcm of its
     denominators."""
-    if all(isinstance(e, int) for e in row):
+    if all(map(isinstance, row, repeat(int))):
         return row
     fr = [Fraction(e) for e in row]
     denom = lcm(*(f.denominator for f in fr))
@@ -134,14 +134,36 @@ def _primes():
         q -= 2
 
 
+def _slot_bytes(entries, size):
+    """Nonnegative ints, each below 2^(8 size), as consecutive little-endian
+    slots of `size` bytes."""
+    return b"".join(map(int.to_bytes, entries, repeat(size), repeat("little")))
+
+
+def _ones(size, slots):
+    """The int with a 1 at the bottom of each of `slots` slots of `size`
+    bytes."""
+    return int.from_bytes(b"\x01".ljust(size, b"\x00") * slots, "little")
+
+
 class _Echelon:
     """Row echelon form over GF(p) of integer rows fed one at a time.
 
     Each row is packed into one int, entry j in the j-th slot of `width`
     bits, so a row update is one big-int multiply-add.  Slots stay
-    nonnegative and are not reduced between updates: a pivot row is reduced
-    below p before use, and a row takes at most one update (< p^2) per
-    pivot, so a slot stays below p + k p^2 < 2^width.
+    nonnegative and are not reduced between updates: a pivot row holds
+    slots below p, and a row takes at most one update (< p^2) per pivot, so
+    a slot stays below p + k p^2 < 2^width.
+
+    Reduction mod p is packed as well.  Write p = 2^s - c; for the moduli of
+    `_primes`, c is small (1, 31, 45, ...).  Since 2^s = c mod p,
+    `_fold` replaces the bits at and above s of every slot by c times their
+    value, x <- (x & LO) + c ((x >> s) & HI), which keeps each slot's
+    residue, until every slot is below 2^s.  Then one packed conditional
+    subtract leaves every slot below p: a slot is >= p iff adding c to it
+    carries past bit s.  A whole row is thus reduced, tested for zero, read
+    for its leading column (its lowest set bit) and rescaled in a few
+    big-int operations, with no per-slot Python work.
 
     A fed row is reduced against the pivot rows in insertion order; each
     pivot row is zero at the pivot columns of the rows before it, so what
@@ -153,8 +175,15 @@ class _Echelon:
 
     def __init__(self, k, p):
         self.k, self.p = k, p
-        self.size = (2 * p.bit_length() + k.bit_length() + 8) // 8  # bytes per slot
+        self.s = s = p.bit_length()
+        self.c = (1 << s) - p
+        self.size = (2 * s + k.bit_length() + 8) // 8  # bytes per slot
         self.width, self.mask = 8 * self.size, (1 << 8 * self.size) - 1
+        self.ones = _ones(self.size, k)                 # 1 in every slot
+        self.lo = ((1 << s) - 1) * self.ones            # bits below s
+        self.hi = ((1 << self.width - s) - 1) * self.ones  # width - s low bits
+        self.top = self.hi << s                         # bits at and above s
+        self.cs = self.c * self.ones
         self.pivots = []        # leading column of each pivot row
         self.rows = []          # packed pivot rows, slots below p
 
@@ -163,49 +192,52 @@ class _Echelon:
         return len(self.pivots)
 
     def _pack(self, entries):
-        size = self.size
-        return int.from_bytes(b"".join([e.to_bytes(size, "little")
-                                        for e in entries]), "little")
+        return int.from_bytes(_slot_bytes(entries, self.size), "little")
 
     def _unpack(self, x):
-        size, p = self.size, self.p
+        size = self.size
         b = x.to_bytes(self.k * size, "little")
-        return [int.from_bytes(b[j:j + size], "little") % p
+        return [int.from_bytes(b[j:j + size], "little")
                 for j in range(0, len(b), size)]
+
+    def _fold(self, x):
+        """x with every slot replaced by its residue mod p."""
+        s, c, lo, hi, top = self.s, self.c, self.lo, self.hi, self.top
+        while x & top:
+            x = (x & lo) + c * (x >> s & hi)
+        return x - self.p * ((x + self.cs) >> s & self.ones)
 
     def _reduce(self, x, pivots, rows):
         p, width, mask = self.p, self.width, self.mask
-        for c, prow in zip(pivots, rows):
-            f = (x >> c * width & mask) % p
+        for col, prow in zip(pivots, rows):
+            f = (x >> col * width & mask) % p
             if f:
                 x += (p - f) * prow
-        return self._unpack(x)
+        return self._fold(x)
 
     def add(self, row):
         """Feed one integer row; True iff it raised the rank."""
         p = self.p
-        entries = self._reduce(self._pack([e % p for e in row]),
-                               self.pivots, self.rows)
-        lead = next((j for j, e in enumerate(entries) if e), None)
-        if lead is None:
+        x = self._reduce(self._pack(map(p.__rmod__, row)), self.pivots, self.rows)
+        if not x:
             return False
-        inv = pow(entries[lead], -1, p)
+        lead = ((x & -x).bit_length() - 1) // self.width
+        inv = pow(x >> lead * self.width & self.mask, -1, p)
         self.pivots.append(lead)
-        self.rows.append(self._pack([e * inv % p for e in entries]))
+        self.rows.append(self._fold(x * inv))
         return True
 
     def rref(self):
         """(pivot columns in order, the nonzero rows of the reduced row
         echelon form) by one back-substitution pass: from the last pivot row
         to the first, clear each at the pivot columns of the rows after it,
-        which are already clear at every other pivot column."""
+        which are already clear at every other pivot column.  Each row is
+        unpacked once, at the end."""
         rows = list(self.rows)
-        reduced = [None] * len(rows)
         for i in reversed(range(len(rows))):
-            reduced[i] = self._reduce(rows[i], self.pivots[i + 1:], rows[i + 1:])
-            rows[i] = self._pack(reduced[i])
+            rows[i] = self._reduce(rows[i], self.pivots[i + 1:], rows[i + 1:])
         order = sorted(range(len(rows)), key=self.pivots.__getitem__)
-        return [self.pivots[i] for i in order], [reduced[i] for i in order]
+        return [self.pivots[i] for i in order], [self._unpack(rows[i]) for i in order]
 
 
 def _rref_mod(rows, p):
@@ -247,13 +279,36 @@ def _lift(fc, pivots, column, modulus, k):
     return normalize_vector(vec)
 
 
-def _annihilates(cols, vec):
-    # M v = 0, summed over the support of v only: fc and the pivots below it.
-    acc = [0] * len(cols[0])
-    for c, col in zip(vec, cols):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, col)]
-    return not any(acc)
+def _annihilates(mat, vectors):
+    """True iff M v = 0 for every v in `vectors`, checked exactly.
+
+    Each column of the integer matrix M is packed once per call into one
+    int: row i in the i-th slot of W bits, holding M[i][j] + 2^(W-1), which
+    is nonnegative.  Then sum_j v_j col_j - sum(v) * (the packed offsets) is
+    sum_i (M v)_i 2^(W i), one multiply-add per nonzero entry of v.  A sum
+    sum_i a_i 2^(W i) with every |a_i| < 2^(W-1) is zero only if every a_i
+    is: its highest nonzero term outweighs all the terms below it.  Here
+    |(M v)_i| <= k max|M| max|v| < 2^(bits(k) + bits(M) + bits(v)), so
+    W >= bits(M) + bits(v) + bits(k) + 2 makes the test exact.
+    """
+    if not vectors:
+        return True
+    k = len(mat[0])
+    mbits = max(max(max(row), -min(row)) for row in mat).bit_length()
+    vbits = max(max(max(v), -min(v)) for v in vectors).bit_length()
+    size = (mbits + vbits + k.bit_length() + 2 + 7) // 8   # bytes per slot
+    half = 1 << 8 * size - 1
+    cols = [int.from_bytes(_slot_bytes(map(half.__add__, col), size), "little")
+            for col in zip(*mat)]
+    offsets = half * _ones(size, len(mat))
+    for v in vectors:
+        acc = -sum(v) * offsets
+        for c, col in zip(v, cols):
+            if c:
+                acc += c * col
+        if acc:
+            return False
+    return True
 
 
 def nullspace(rows, echelon=None):
@@ -266,7 +321,10 @@ def nullspace(rows, echelon=None):
     -R[i][fc] at each pivot column below fc.  Each entry is lifted to a
     rational by rational reconstruction, the vector is scaled to a primitive
     integer vector with positive leading entry, and M v = 0 is checked
-    exactly over the integer rows.
+    exactly over the integer rows by `_annihilates`: the columns of M are
+    packed into ints with slots wide enough that no signed slot total can
+    reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a test
+    for zero.
 
     Certificate: the vectors are independent, since each is 1 at its own
     free column and 0 at the others.  If all k - rank_p of them pass, then
@@ -288,7 +346,6 @@ def nullspace(rows, echelon=None):
     if any(len(row) != k for row in rows):
         raise ValueError("ragged matrix")
     mat = [_integer_row(row) for row in rows]
-    cols = list(zip(*mat))
     best = residues = modulus = None
     for p in _primes():
         if echelon is not None and p == echelon.p:
@@ -308,17 +365,11 @@ def nullspace(rows, echelon=None):
             modulus *= p
         else:
             continue
-        basis = []
         piv_set = set(pivots)
-        for fc in range(k):
-            if fc in piv_set:
-                continue
-            # R[i][fc] is 0 at every pivot column after fc
-            vec = _lift(fc, pivots, [row[fc] for row in residues], modulus, k)
-            if vec is None or not _annihilates(cols, vec):
-                break
-            basis.append(vec)
-        else:
+        # R[i][fc] is 0 at every pivot column after fc
+        basis = [_lift(fc, pivots, [row[fc] for row in residues], modulus, k)
+                 for fc in range(k) if fc not in piv_set]
+        if None not in basis and _annihilates(mat, basis):
             return basis
 
 
@@ -495,24 +546,7 @@ def find_relations(n, d, config):
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     basis = enumerate_invariant_basis(d)
-    kernel = certified_kernel(n, d, config, basis=basis)
-    if d <= n + 1:
-        relations = kernel
-    else:
-        ambient = certified_kernel(n + 1, d, config, basis=basis)
-        # Every (n+1) relation holds on n x n matrices (embed x as
-        # diag(x, 0)), so the ambient kernel lies in the n kernel.  Check it:
-        # the quotient below is only right if it holds.
-        if rank_of(kernel + ambient) != len(kernel):
-            raise KernelCertificationError(
-                f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
-                f"n={n}; sampler configuration looks pathological")
-        # nullspace gives one vector per free column, whose last nonzero
-        # coordinate is that column.  Given the containment, a kernel vector
-        # is independent of the ambient kernel and the earlier kernel
-        # vectors exactly when no ambient vector ends at its free column.
-        taken = {_last_nonzero(u) for u in ambient}
-        relations = [v for v in kernel if _last_nonzero(v) not in taken]
+    relations, _ = _relations(n, d, config, basis)
     return RelationSet(n=n, d=d,
                        basis=tuple(m.encode() for m in basis),
                        relations=tuple(relations),
@@ -521,15 +555,52 @@ def find_relations(n, d, config):
                        entry_bound=config.entry_bound)
 
 
+def _relations(n, d, config, basis, kernel=None):
+    """(relation vectors of find_relations, the certified kernel on
+    (n+1) x (n+1) samples, or None for d <= n + 1).
+
+    `kernel`, if given, stands in for the certified kernel on n x n
+    samples.  A certified kernel is the unique reduced basis of its space,
+    whatever the seed that drew it, so a caller may pass one certified for
+    another cell.
+    """
+    if kernel is None:
+        kernel = certified_kernel(n, d, config, basis=basis)
+    if d <= n + 1:
+        return kernel, None
+    ambient = certified_kernel(n + 1, d, config, basis=basis)
+    # Every (n+1) relation holds on n x n matrices (embed x as diag(x, 0)),
+    # so the ambient kernel lies in the n kernel.  Check it: the quotient
+    # below is only right if it holds.
+    if rank_of(kernel + ambient) != len(kernel):
+        raise KernelCertificationError(
+            f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
+            f"n={n}; sampler configuration looks pathological")
+    # nullspace gives one vector per free column, whose last nonzero
+    # coordinate is that column.  Given the containment, a kernel vector is
+    # independent of the ambient kernel and the earlier kernel vectors
+    # exactly when no ambient vector ends at its free column.
+    taken = {_last_nonzero(u) for u in ambient}
+    return [v for v in kernel if _last_nonzero(v) not in taken], ambient
+
+
 def rel_dimension_table(max_d, max_n, config, skip_stable=True):
-    """dict {(d, n): relation count} for 1 <= d <= max_d, 1 <= n <= max_n."""
+    """dict {(d, n): relation count} for 1 <= d <= max_d, 1 <= n <= max_n.
+
+    Each (n, d) kernel is certified once: cell (d, n)'s kernel on
+    (n+1) x (n+1) samples is cell (d, n+1)'s own kernel.
+    """
     table = {}
     for d in range(1, max_d + 1):
+        basis = enumerate_invariant_basis(d)
+        carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
             if skip_stable and stable_range(d, n):
                 table[(d, n)] = 0
+                carried = None
                 continue
             cell_seed = stream(config.seed, "table", d, n).getrandbits(63)
             cell_cfg = replace(config, seed=cell_seed)
-            table[(d, n)] = len(find_relations(n, d, cell_cfg).relations)
+            relations, carried = _relations(n, d, cell_cfg, basis, carried)
+            table[(d, n)] = len(relations)
     return table

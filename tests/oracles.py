@@ -4,8 +4,9 @@ They check the package from outside: the tensor contraction certifies the
 matching -> trace-word convention, the matching enumeration certifies the
 invariant basis, and the counts (perfect matchings, Catalan numbers,
 parts-at-most-two partitions, symmetrizer terms) check the closed form
-`rel_dim_formula` and the tableau and group sizes.  The cached
-quasi-idempotency sweep is shared by the tests that assert on it.
+`rel_dim_formula` and the tableau and group sizes.  The column-sum
+identity check certifies the packed one in `montecarlo.nullspace`.  The
+cached quasi-idempotency sweep is shared by the tests that assert on it.
 """
 
 import functools
@@ -65,6 +66,16 @@ def contract_matching(inv, x):
             term = term * x.entries[slot_val[2 * f]][slot_val[2 * f + 1]]
         total = total + term
     return total
+
+
+def annihilates(cols, vec):
+    """True iff M v = 0, with M given by its columns: the columns on the
+    support of v, scaled by v and summed entry by entry."""
+    acc = [0] * len(cols[0])
+    for c, col in zip(vec, cols):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, col)]
+    return not any(acc)
 
 
 def symmetrizer_term_count(t):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -17,6 +18,8 @@ from trace_relations.montecarlo import (
     nullspace, rank_of, rel_dimension_table, sample_matrix, stream,
     verify_relation)
 from trace_relations.words import enumerate_invariant_basis
+
+from oracles import annihilates
 
 CFG = SamplerConfig(seed=42)
 
@@ -172,15 +175,18 @@ def test_nullspace_entries_wider_than_a_prime():
 
 
 P = montecarlo.FIRST_PRIME
+# 2^61 - c for c = 1, 31, 45: the first prime and the first CRT primes
+PRIMES = list(itertools.islice(montecarlo._primes(), 3))
 
 
-def _residue(x):
-    return x.numerator * pow(x.denominator, -1, P) % P
+def _residue(x, p=P):
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def _entries():
+def _entries(p):
     return st.one_of(st.integers(-9, 9), st.just(0),
-                     st.integers(-3, 3).map(lambda m: m * P),
+                     st.integers(-3, 3).map(lambda m: m * p),
+                     st.just(p - 1), st.just(1 - p),
                      st.integers(-2 ** 8, 2 ** 8).map(lambda m: m + 2 ** 70),
                      st.integers(-2 ** 8, 2 ** 8).map(lambda m: m - 2 ** 70))
 
@@ -194,9 +200,9 @@ def _deficient(k):
         lambda t: [[a * x + b * y for x, y in zip(t[0], t[1])] for a, b in t[2]])
 
 
-def _elimination_matrices():
+def _elimination_matrices(p):
     rows = st.integers(1, 6).flatmap(lambda k: st.one_of(
-        st.lists(st.lists(_entries(), min_size=k, max_size=k),
+        st.lists(st.lists(_entries(p), min_size=k, max_size=k),
                  min_size=1, max_size=7),
         _deficient(k)))
     # duplicate some row
@@ -204,32 +210,126 @@ def _elimination_matrices():
         lambda t: t[0] + [t[0][t[1] % len(t[0])]] if t[2] else t[0])
 
 
-@given(_elimination_matrices())
-@settings(max_examples=150, deadline=None)
-def test_incremental_elimination_matches_rref_oracle(rows):
-    echelon = montecarlo._Echelon(len(rows[0]), P)
+def _assert_elimination_matches_oracle(rows, p):
+    echelon = montecarlo._Echelon(len(rows[0]), p)
     raised = sum(echelon.add(row) for row in rows)
     pivots, reduced = echelon.rref()
     assert raised == echelon.rank == len(pivots)
-    assert montecarlo._rref_mod(rows, P) == (pivots, reduced)
+    assert montecarlo._rref_mod(rows, p) == (pivots, reduced)
     # the rational RREF reduced mod p is the GF(p) one unless p divides one
     # of its denominators or the rank drops mod p
-    frac_pivots, frac_rows = _frac_rref([[e % P for e in row] for row in rows])
+    frac_pivots, frac_rows = _frac_rref([[e % p for e in row] for row in rows])
     if (len(frac_pivots) == len(pivots)
-            and all(x.denominator % P for row in frac_rows for x in row)):
+            and all(x.denominator % p for row in frac_rows for x in row)):
         assert frac_pivots == pivots
-        assert [[_residue(x) for x in row] for row in frac_rows] == reduced
+        assert [[_residue(x, p) for x in row] for row in frac_rows] == reduced
     # rows that are zero mod p, duplicated or dependent raise nothing
-    assert not echelon.add([P * e for e in rows[0]])
+    assert not echelon.add([p * e for e in rows[0]])
     assert not echelon.add(rows[-1])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_incremental_elimination_matches_rref_oracle(data):
+    for p in PRIMES:
+        _assert_elimination_matches_oracle(data.draw(_elimination_matrices(p)), p)
 
 
 def test_incremental_elimination_reduces_every_pivot_column():
     # the third row leads at column 0, before the earlier pivots; the back
     # substitution must still clear the first two rows at column 0
-    echelon = montecarlo._Echelon(3, P)
-    assert [echelon.add(r) for r in ([0, 1, 1], [0, 0, 2], [3, 1, 0])] == [True] * 3
-    assert echelon.rref() == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for p in PRIMES:
+        echelon = montecarlo._Echelon(3, p)
+        assert [echelon.add(r) for r in ([0, 1, 1], [0, 0, 2], [3, 1, 0])] == [True] * 3
+        assert echelon.rref() == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", [13, 40])
+def test_elimination_slot_worst_case(p, k):
+    # pivot rows e_i + (p - 1) e_last, i < k - 1, then a row of ones ending
+    # in p - 1: every pivot adds (p - 1)^2 to the last slot, which reaches
+    # (p - 1) + (k - 1)(p - 1)^2 before the fold, near the p + k p^2 that
+    # the slot width allows for
+    rows = [[1 if j == i else p - 1 if j == k - 1 else 0 for j in range(k)]
+            for i in range(k - 1)]
+    last = [1] * (k - 1) + [p - 1]
+    top = (p - 1) + (k - 1) * (p - 1) ** 2
+    echelon = montecarlo._Echelon(k, p)
+    assert top > (k - 2) * p * p and top.bit_length() <= echelon.width
+    _assert_elimination_matches_oracle(rows + [last], p)
+
+
+def _orthogonal_rows(v, picks):
+    # for each pick (i, j, a, b): a (v_j e_i - v_i e_j) + b (v_j e_0 - v_0 e_j),
+    # which annihilates v
+    rows = []
+    for i, j, a, b in picks:
+        row = [0] * len(v)
+        for (r, t), f in (((i, j), a), ((0, j), b)):
+            row[r] += f * v[t]
+            row[t] -= f * v[r]
+        rows.append(row)
+    return rows
+
+
+_big_entries = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+
+
+@given(st.lists(_big_entries, min_size=2, max_size=6).filter(any), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_identity_check_matches_column_sums(v, data):
+    k = len(v)
+    index = st.integers(0, k - 1)
+    picks = data.draw(st.lists(st.tuples(index, index, st.integers(-2, 2),
+                                         st.integers(-2, 2)),
+                               min_size=1, max_size=6))
+    rows = _orthogonal_rows(v, picks)
+    cols = list(zip(*rows))
+    assert annihilates(cols, v)
+    assert montecarlo._annihilates(rows, [v])
+    # a near miss: one entry off by one
+    miss = list(v)
+    miss[data.draw(index)] += data.draw(st.sampled_from([-1, 1]))
+    assert montecarlo._annihilates(rows, [miss]) == annihilates(cols, miss)
+    assert montecarlo._annihilates(rows, [v, miss]) == annihilates(cols, miss)
+    # and any vector against the same rows
+    other = data.draw(st.lists(_big_entries, min_size=k, max_size=k))
+    assert montecarlo._annihilates(rows, [other]) == annihilates(cols, other)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_packed_identity_check_reads_the_first_and_last_rows(sign):
+    # v = (a, b, x a + y b) with entries near 2^200.  The rows (b, -a, 0)
+    # are zero at column 2 and (x, y, -1) is -1 there, so off by one at
+    # column 2, v fails at one row only, by 1, whether it is the last or
+    # the first
+    a, b, x, y = 3 ** 63, -(5 ** 43), 7 ** 35, -(11 ** 29)
+    v = (a, b, x * a + y * b)
+    assert v[2].bit_length() > 190
+    miss = (a, b, v[2] + sign)
+    middle = [[b, -a, 0]] * 3
+    for rows in (middle + [[x, y, -1]], [[x, y, -1]] + middle):
+        cols = list(zip(*rows))
+        assert annihilates(cols, v) and montecarlo._annihilates(rows, [v])
+        assert not annihilates(cols, miss)
+        assert not montecarlo._annihilates(rows, [miss])
+        assert not montecarlo._annihilates(rows, [v, miss])
+
+
+def test_packed_identity_check_never_carries_between_slots():
+    # M v = (2^(u+r), -1) with k = 2^r + 1 columns: were a slot only
+    # u + r bits wide, the first total would carry into the second and
+    # cancel it.  The slot width counts bits(M), bits(v) and bits(k).
+    for r in range(6):
+        k = 2 ** r + 1
+        rows = [[1] * (k - 1) + [0], [0] * (k - 1) + [1]]
+        cols = list(zip(*rows))
+        for u in range(260):
+            v = [2 ** u] * (k - 1) + [-1]
+            for w in (v, [-c for c in v]):
+                assert not annihilates(cols, w)
+                assert not montecarlo._annihilates(rows, [w])
 
 
 def test_rank_of():
@@ -480,3 +580,27 @@ def test_rel_dimension_table_small():
     table = rel_dimension_table(3, 2, CFG)
     assert table == {(1, 1): 0, (1, 2): 0, (2, 1): 2, (2, 2): 0,
                      (3, 1): 2, (3, 2): 2}
+
+
+def test_rel_dimension_table_certifies_each_kernel_once(monkeypatch):
+    calls = collections.Counter()
+    true_kernel = montecarlo.certified_kernel
+
+    def counting(m, d, *args, **kwargs):
+        calls[(m, d)] += 1
+        return true_kernel(m, d, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", counting)
+    rel_dimension_table(7, 3, CFG)
+    # cell (d, n) needs the kernels for n and, for d > n + 1, n + 1
+    assert calls == {(m, d): 1 for d in range(1, 8) for m in range(1, 5) if m < d}
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_rel_dimension_table_matches_unshared_cells(seed):
+    cfg = SamplerConfig(seed=seed)
+    table = rel_dimension_table(7, 3, cfg)
+    for (d, n), count in table.items():
+        cell_cfg = replace(cfg, seed=stream(seed, "table", d, n).getrandbits(63))
+        assert count == (0 if d <= n else
+                         len(find_relations(n, d, cell_cfg).relations))

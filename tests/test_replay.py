@@ -33,6 +33,7 @@ SYMMETRIZER_SEED13 = {
 }
 
 DIMS_D7_N2_SEED5 = "af47e8a81f0a27e56a59f1595d7bb50ab93ebf57768576d9a890a36c52adc89b"
+DIMS_D8_N7_SEED5 = "7649bb0c437cc0d6bc6f3458588aaff2353df8f25daeba9d7f9bfa056f6dd1f0"
 
 
 def digest(argv, tmp_path):
@@ -57,3 +58,8 @@ def test_symmetrizer_relations_replay(n, tmp_path):
 def test_dims_table_replay(tmp_path):
     argv = ["dims", "--max-d", "7", "--max-n", "2", "--seed", "5"]
     assert digest(argv, tmp_path) == DIMS_D7_N2_SEED5
+
+
+def test_dims_table_d8_replay(tmp_path):
+    argv = ["dims", "--max-d", "8", "--max-n", "7", "--seed", "5"]
+    assert digest(argv, tmp_path) == DIMS_D8_N7_SEED5
