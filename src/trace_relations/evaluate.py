@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul as _mul
 
 from .words import X, XT, InvariantMonomial
 
@@ -18,11 +18,11 @@ class MatrixSample:
     entries: tuple            # n rows, each a tuple of scalars
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", rows)
         if self.n < 1:
             raise ValueError("n must be positive")
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+        if len(rows) != self.n or {*map(len, rows)} != {self.n}:
             raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
 
 
@@ -53,68 +53,161 @@ def _kernels(n):
     return ns.pop("mul"), ns.pop("trace_mul")
 
 
-@dataclass(frozen=True)
-class _BasisPlan:
-    """How to evaluate a basis with shared work.
+def _reverse_swap(w):
+    """The word spelling the transpose: P(rs(w)) = P(w)^T."""
+    return tuple(map((1).__sub__, reversed(w)))
 
-    Products of word prefixes form a trie: slots 0 and 1 hold x and x^T,
-    and each step (parent slot, letter) appends parent . factor(letter).
-    Each distinct word is (slot of its longest proper prefix, last letter),
-    with slot None for one-letter words.  Each monomial is a tuple of word
-    indices.
+
+_FACTOR = ("x", "xt")
+
+
+class _Plan:
+    """Straight-line source that evaluates trace words on one sample.
+
+    x and xt name the sample and its transpose, flat row-major.  P(r) is
+    the product spelled by the word r.  A node holds P(r) for one word r of
+    length >= 2 and stands for P(rs(r)) = P(r)^T as well, so a node serves
+    the class {r, rs(r)}; x serves {X, XT}.  A new node is one `mul` away
+    from the node of its word less the last letter: if that node holds
+    P(r[:-1]) it gives P(r) = P(r[:-1]) . x_r, and if it holds P(r[:-1])^T
+    it gives P(rs(r)) = x_r^T . P(r[:-1])^T.
+
+    A word w of length L >= 2 is traced as Tr(P(u) . P(v)), u its first
+    ceil(L/2) letters and v the rest, so only half-words need nodes.  With
+    A and B the nodes of u and v, that is trace_mul(A, B) if both or neither
+    hold a transpose (Tr(A^T B^T) = Tr(B A) = Tr(A B)), and else
+    Tr(A B^T) = sum_ij A_ij B_ij.
     """
 
+    def __init__(self):
+        self.lines = []
+        # both words of each class -> (node name, the word it holds)
+        self.nodes = {(X,): ("x", (X,)), (XT,): ("x", (X,))}
+        self.products = 0
+
+    def _known(self, w):
+        """Length of the longest prefix of w with a node."""
+        j = len(w)
+        while w[:j] not in self.nodes:
+            j -= 1
+        return j
+
+    def _node(self, w):
+        """(name, word held) of the node of w's class, built if missing."""
+        for i in range(self._known(w) + 1, len(w) + 1):
+            name, held = self.nodes[w[:i - 1]]
+            letter = w[i - 1]
+            if held == w[:i - 1]:
+                expr, held = f"mul({name}, {_FACTOR[letter]})", w[:i]
+            else:
+                expr, held = f"mul({_FACTOR[1 - letter]}, {name})", _reverse_swap(w[:i])
+            name = f"p{self.products}"
+            self.products += 1
+            self.lines.append(f"{name} = {expr}")
+            self.nodes[held] = self.nodes[_reverse_swap(held)] = name, held
+        return self.nodes[w]
+
+    def cost(self, w):
+        """Nodes that tracing w, split as in `trace`, would add (counting
+        twice a node both halves need)."""
+        h = (len(w) + 1) // 2
+        return len(w) - self._known(w[:h]) - self._known(w[h:])
+
+    def trace(self, w):
+        """Expression for Tr(P(w)), split as w[:ceil(L/2)], w[ceil(L/2):]."""
+        if len(w) == 1:
+            return "sum(x[::diag])"
+        h = (len(w) + 1) // 2
+        (a, ra), (b, rb) = self._node(w[:h]), self._node(w[h:])
+        if (ra == w[:h]) == (rb == w[h:]):
+            return f"trace_mul({a}, {b})"
+        return f"sum(map(_mul, {a}, {b}))"
+
+    def split(self, w):
+        """The first rotation or reflection of w whose split adds fewest
+        nodes."""
+        best = w
+        if len(w) > 1:
+            least = None
+            for r in (w, _reverse_swap(w)):
+                for i in range(len(w)):
+                    c = self.cost(r[i:] + r[:i])
+                    if least is None or c < least:
+                        best, least = r[i:] + r[:i], c
+                    if not least:
+                        return best
+        return best
+
+    def compile(self, values):
+        """make(mul, trace_mul, diag) -> row(x, xt), the list of `values`
+        after the lines so far; x and xt flat with diagonal step diag."""
+        body = "".join(f"        {line}\n" for line in self.lines)
+        src = (f"def make(mul, trace_mul, diag):\n    def row(x, xt):\n{body}"
+               f"        return [{', '.join(values)}]\n    return row\n")
+        ns = {"_mul": _mul}
+        exec(src, ns)
+        # As in _kernels: popped, so no function is in its own __globals__.
+        return ns.pop("make")
+
+
+@dataclass(frozen=True)
+class _Compiled:
     degrees: frozenset
-    steps: tuple
-    words: tuple
-    monomials: tuple
+    products: int           # matrix products per row
+    make: object            # make(mul, trace_mul, diag) -> row(x, xt)
 
 
 @lru_cache(maxsize=256)
-def _basis_plan(basis):
-    word_index = {}
+def _compile_basis(basis):
+    """The row function of a basis, compiled once for every n.
+
+    Each distinct word is traced once, through the split of its cheapest
+    rotation or reflection (`_Plan.split`).  Then each monomial, its words
+    shortest first, is the product of its own prefix by one more trace, so
+    monomials that share a prefix, as most share their short words, share
+    its product.
+    """
+    plan = _Plan()
+    traces = {}
     for m in basis:
         for w in m.words:
-            word_index.setdefault(w.letters, len(word_index))
-    slot = {(X,): 0, (XT,): 1}
-    steps = []
-    words = []
-    for w in word_index:
-        for k in range(2, len(w)):
-            if w[:k] not in slot:
-                slot[w[:k]] = 2 + len(steps)
-                steps.append((slot[w[:k - 1]], w[k - 1]))
-        words.append((slot[w[:-1]] if len(w) > 1 else None, w[-1]))
-    return _BasisPlan(degrees=frozenset(m.degree for m in basis),
-                      steps=tuple(steps), words=tuple(words),
-                      monomials=tuple(tuple(word_index[w.letters] for w in m.words)
-                                      for m in basis))
+            if w.letters not in traces:
+                traces[w.letters] = name = f"t{len(traces)}"
+                plan.lines.append(f"{name} = {plan.trace(plan.split(w.letters))}")
+    products = {}           # (prefix, trace) -> name of their product
+    values = []
+    for m in basis:
+        words = reversed(m.words)
+        value = traces[next(words).letters]
+        for w in words:
+            key = value, traces[w.letters]
+            if key not in products:
+                products[key] = f"m{len(products)}"
+                plan.lines.append(f"{products[key]} = {value} * {key[1]}")
+            value = products[key]
+        values.append(value)
+    return _Compiled(frozenset(m.degree for m in basis), plan.products,
+                     plan.compile(values))
+
+
+@lru_cache(maxsize=256)
+def _row_function(basis, n):
+    compiled = _compile_basis(basis)
+    return compiled.degrees, compiled.make(*_kernels(n), n + 1)
 
 
 def evaluate_basis_row(d, x, basis):
     """Values of every basis invariant on one sample, in basis order.
 
-    Each distinct word is traced once, its product built one matmul beyond
-    its prefix's; monomials are products of those traces.  Matrices are
-    flat row-major tuples run through the per-n unrolled kernels of
-    `_kernels`.  Arithmetic is that of the entries, so exact entries give
-    exact values.
+    Runs the basis's straight-line row function (`_compile_basis`) bound to
+    the per-n unrolled kernels of `_kernels`, on flat row-major tuples.
+    Arithmetic is that of the entries, so exact entries give exact values.
     """
-    plan = _basis_plan(tuple(basis))
-    if any(deg != d for deg in plan.degrees):
+    degrees, row = _row_function(tuple(basis), x.n)
+    if degrees - {d}:
         raise ValueError("basis degree mismatch")
-    n = x.n
-    mul, trace_mul = _kernels(n)
-    factors = (tuple(chain.from_iterable(x.entries)),
+    return row(tuple(chain.from_iterable(x.entries)),
                tuple(chain.from_iterable(zip(*x.entries))))
-    prods = list(factors)
-    for parent, letter in plan.steps:
-        prods.append(mul(prods[parent], factors[letter]))
-    trace_x = sum(factors[0][::n + 1])
-    traces = [trace_mul(prods[parent], factors[letter]) if parent is not None
-              else trace_x
-              for parent, letter in plan.words]
-    return [math.prod([traces[i] for i in mono]) for mono in plan.monomials]
 
 
 def evaluate_monomial(monomial, x):
@@ -124,4 +217,3 @@ def evaluate_monomial(monomial, x):
 def evaluate_word(word, x):
     """Tr of the matrix product spelled by the word (X -> x, XT -> x^T)."""
     return evaluate_monomial(InvariantMonomial((word,)), x)
-

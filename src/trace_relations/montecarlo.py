@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -54,10 +55,24 @@ def stream(seed, *labels):
 
 
 def sample_matrix(n, rng, config):
-    """Integer entries uniform on [-B, B]."""
+    """Integer entries uniform on [-B, B], row by row.
+
+    Each entry is drawn as CPython 3.10-3.12's rng.randint(-B, B) draws it:
+    r = rng.getrandbits(k), k = (2B + 1).bit_length(), redrawn while
+    r >= 2B + 1; the entry is r - B.  Same stream, without randint's
+    per-call argument handling.
+    """
     b = config.entry_bound
-    return MatrixSample(n, tuple(tuple(rng.randint(-b, b) for _ in range(n))
-                                 for _ in range(n)))
+    q = 2 * b + 1
+    k = q.bit_length()
+    bits = rng.getrandbits
+    entries = []
+    for _ in range(n * n):
+        r = bits(k)
+        while r >= q:
+            r = bits(k)
+        entries.append(r - b)
+    return MatrixSample(n, zip(*[iter(entries)] * n))
 
 
 def _sample_nonzero(n, rng, config):
@@ -430,6 +445,21 @@ def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
     return _vanish_on_fresh_samples([coeffs], n, d, trials, rng, basis, config)
 
 
+def _json_int(value, key):
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer")
+    return value
+
+
+def _coefficient(entry):
+    """A relation entry: a JSON integer or a decimal-integer string."""
+    if type(entry) is int:
+        return entry
+    if type(entry) is str and re.fullmatch(r"-?[0-9]+", entry):
+        return int(entry)
+    raise ValueError("relation entries must be integers or decimal-integer strings")
+
+
 @dataclass(frozen=True)
 class RelationSet:
     """Certified relation basis plus the configuration that produced it."""
@@ -456,14 +486,24 @@ class RelationSet:
 
     @classmethod
     def from_json(cls, text):
+        """The relation set of a `to_json` file.  Only JSON integers (not
+        booleans) are read as n, d, seed and entry_bound, and relations only
+        as lists of integers or decimal-integer strings; anything else is a
+        ValueError."""
         try:
             obj = json.loads(text)
-            rs = cls(n=int(obj["n"]), d=int(obj["d"]),
-                     basis=tuple(obj["basis"]),
-                     relations=tuple(tuple(int(c) for c in rel)
-                                     for rel in obj["relations"]),
-                     method=obj["method"], seed=int(obj["seed"]),
-                     entry_bound=int(obj["entry_bound"]))
+            fields = {key: _json_int(obj[key], key)
+                      for key in ("n", "d", "seed", "entry_bound")}
+            relations = obj["relations"]
+            if type(relations) is not list or any(type(rel) is not list
+                                                  for rel in relations):
+                raise ValueError("'relations' must be a list of lists")
+            if obj["method"] not in (METHOD_MONTECARLO, METHOD_SYMMETRIZER):
+                raise ValueError(f"unknown method {obj['method']!r}")
+            rs = cls(basis=tuple(obj["basis"]),
+                     relations=tuple(tuple(map(_coefficient, rel))
+                                     for rel in relations),
+                     method=obj["method"], **fields)
         except KeyError as exc:
             raise ValueError(f"malformed relation file: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

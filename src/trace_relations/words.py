@@ -83,7 +83,8 @@ class InvariantMonomial:
     words: tuple
 
     def __post_init__(self):
-        ws = tuple(sorted((TraceWord(w.letters if isinstance(w, TraceWord) else w)
+        # A TraceWord is canonical already; anything else is canonicalised.
+        ws = tuple(sorted((w if isinstance(w, TraceWord) else TraceWord(w)
                            for w in self.words), key=_word_key))
         if not ws:
             raise ValueError("invariant monomial needs at least one word")

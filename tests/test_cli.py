@@ -304,3 +304,51 @@ def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch)
     assert rc == 4
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "1e400"),             # a float too large for int()
+    ("n", "2.9"),               # read as 2 by int()
+    ("n", "true"),              # a bool is an int subclass
+    ("d", "3.0"),
+    ("seed", '"20260824"'),
+    ("entry_bound", "false"),
+    ("relations", '["20301", "02121"]'),   # strings, not lists
+    ("relations", '[["1.5", "0", "0", "0", "0"]]'),
+    ("relations", "[[1.5, 0, 0, 0, 0]]"),  # a float entry
+    ("relations", '[[" 2", "0", "-3", "0", "1"]]'),
+    ("relations", '[["2", "0", "-3", "0", true]]'),
+    ("relations", '{"0": ["2", "0", "-3", "0", "1"]}'),
+    ("method", '"bareiss"'),
+    ("method", "null"),
+])
+def test_verify_rejects_non_integer_fields(capsys, tmp_path, key, value):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    text = json.dumps({**obj, key: "@"}).replace('"@"', value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: malformed relation file")
+
+
+def test_relation_entries_may_be_json_integers(capsys, tmp_path):
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["relations"] = [[int(c) for c in rel] for rel in obj["relations"]]
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, "verify", "--input", str(ints))
+    assert rc == 0
+    assert out.count("PASS") == 2
+
+
+def test_from_json_reads_every_to_json_output(capsys):
+    for argv in (["relations", "--n", "2", "--d", "5", "--seed", "3"],
+                 ["relations", "--n", "2", "--d", "3", "--seed", "3",
+                  "--method", "symmetrizer"]):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert RelationSet.from_json(out).to_json() == out
+    golden = (DATA / "golden_n2_d3.json").read_text()
+    assert RelationSet.from_json(golden).n == 2

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trace_relations.evaluate import (
-    MatrixSample, _kernels, evaluate_basis_row, evaluate_monomial, evaluate_word)
+    MatrixSample, _compile_basis, _kernels, _Plan, _reverse_swap,
+    evaluate_basis_row, evaluate_monomial, evaluate_word)
 from trace_relations.words import (
-    X, XT, InvariantMonomial, TraceWord, enumerate_invariant_basis,
-    involution_to_monomial, tau)
+    X, XT, InvariantMonomial, TraceWord, canonical_words,
+    enumerate_invariant_basis, involution_to_monomial, tau)
 
 from oracles import contract_matching, enumerate_fpf_involutions, transpose
 
@@ -159,13 +160,95 @@ def test_basis_row_matches_per_monomial_evaluation(d):
 
 
 def test_basis_row_fraction_sample():
-    rng = random.Random(8)
-    x = mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
-             for _ in range(3)])
+    x = random_fraction_matrix(3, random.Random(8))
     basis = enumerate_invariant_basis(5)
     row = evaluate_basis_row(5, x, basis)
     assert row == [_naive_monomial(m, x) for m in basis]
     assert any(Fraction(v).denominator != 1 for v in row)
+
+
+def random_fraction_matrix(n, rng):
+    return mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                for _ in range(n)])
+
+
+def _plan_values(plan, values, x):
+    """The values of a plan's expressions on x, through the compiled row."""
+    row = plan.compile(values)(*_kernels(x.n), x.n + 1)
+    return row(tuple(e for r in x.entries for e in r),
+               tuple(e for c in zip(*x.entries) for e in c))
+
+
+def _rotations_and_reflections(w):
+    return [r[i:] + r[:i] for r in (w, _reverse_swap(w)) for i in range(len(w))]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_every_split_traces_its_word(shared):
+    # Each rotation and reflection of a word is traced through its own
+    # split, with nodes built in whatever orientation the plan has them.
+    # One plan per word, or one plan for all words, gives different nodes.
+    rng = random.Random(f"split/{shared}")
+    samples = [random_int_matrix(n, rng, 10) for n in (1, 2, 3, 4)]
+    samples.append(random_fraction_matrix(3, rng))
+    plan = _Plan()
+    words, exprs = [], []
+    for length in range(1, 9):
+        for word in canonical_words(length):
+            if not shared:
+                plan, exprs = _Plan(), []
+            rotations = _rotations_and_reflections(word.letters)
+            exprs += [plan.trace(r) for r in rotations]
+            words += [word] * len(rotations)
+            if not shared:
+                for x in samples:
+                    expected = _naive_monomial(InvariantMonomial((word,)), x)
+                    assert _plan_values(plan, exprs, x) == [expected] * len(exprs)
+    if shared:
+        for x in samples:
+            expected = [_naive_monomial(InvariantMonomial((w,)), x) for w in words]
+            assert _plan_values(plan, exprs, x) == expected
+        # both trace forms ran: Tr(A . B) and Tr(A . B^T)
+        assert any(e.startswith("trace_mul(") for e in exprs)
+        assert any(e.startswith("sum(map(") for e in exprs)
+
+
+def test_split_picks_the_rotation_needing_fewest_nodes():
+    plan = _Plan()
+    plan.trace((X, X, XT, XT))          # nodes for xx and its transpose
+    assert plan.products == 1
+    # as it stands, (X, XT, XT, X) needs nodes for X XT and XT X; its first
+    # rotation, (XT, XT, X, X), needs none
+    assert plan.cost((X, XT, XT, X)) == 2
+    assert plan.split((X, XT, XT, X)) == (XT, XT, X, X)
+    assert plan.trace((XT, XT, X, X)) == "sum(map(_mul, p0, p0))"   # Tr(A^T A)
+    assert plan.products == 1
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_basis_row_of_shuffled_and_singleton_bases(d):
+    # The plan depends on the basis order; every order, and every monomial
+    # on its own, gives the same values.
+    rng = random.Random(f"shuffle/{d}")
+    basis = list(enumerate_invariant_basis(d))
+    shuffled = tuple(rng.sample(basis, len(basis)))
+    for x in (random_int_matrix(3, rng, 10), random_fraction_matrix(2, rng)):
+        expected = [_naive_monomial(m, x) for m in shuffled]
+        assert evaluate_basis_row(d, x, shuffled) == expected
+        assert [evaluate_basis_row(d, x, (m,))[0] for m in shuffled] == expected
+
+
+def test_plan_products_per_row():
+    # Matrix products per row, for every n: the (9, 10) cell took 156 and
+    # the (4, 7) cell 27 when every word prefix was a product.
+    assert _compile_basis(enumerate_invariant_basis(10)).products <= 31
+    assert _compile_basis(enumerate_invariant_basis(7)).products <= 9
+
+
+def test_degree_12_basis_compiles_and_evaluates():
+    basis = enumerate_invariant_basis(12)
+    x = random_int_matrix(2, random.Random(12), 3)
+    assert evaluate_basis_row(12, x, basis) == [_naive_monomial(m, x) for m in basis]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -197,6 +280,11 @@ def test_kernels_are_freed_without_the_cycle_collector():
         ref = weakref.ref(mul)
         _kernels.cache_clear()
         del mul, trace_mul
+        assert ref() is None
+        # the same holds for a basis's compiled row function
+        basis = (InvariantMonomial((TraceWord((X, XT, X)),)),)
+        ref = weakref.ref(_compile_basis(basis).make)
+        _compile_basis.cache_clear()
         assert ref() is None
     finally:
         if was_enabled:

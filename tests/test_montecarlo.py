@@ -40,6 +40,19 @@ def test_sample_matrix_deterministic_and_bounded():
     assert a != c
 
 
+@pytest.mark.parametrize("bound", [1, 10, 20, 80])
+def test_sample_matrix_draws_the_randint_stream(bound):
+    # The draws, and so every row and relation, are those of
+    # rng.randint(-B, B) entry by entry, as on CPython 3.10-3.12.
+    cfg = SamplerConfig(seed=0, entry_bound=bound)
+    for seed in range(200):
+        for n in (1, 4):
+            rng = random.Random(seed)
+            expected = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
+                             for _ in range(n))
+            assert sample_matrix(n, random.Random(seed), cfg).entries == expected
+
+
 def test_build_evaluation_matrix_shape():
     rows = build_evaluation_matrix(2, 3, 5, CFG)
     assert len(rows) == 5 and all(len(r) == 5 for r in rows)

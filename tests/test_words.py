@@ -166,3 +166,13 @@ def test_class_constant_on_factor_permutation_orbits(d):
 def test_monomial_word_order():
     m = InvariantMonomial((TraceWord((X,)), TraceWord((X, X))))
     assert m.encode() == "xx*x"
+
+
+def test_monomial_canonicalises_letter_tuples_and_keeps_words():
+    # (XT, X) and (X, XT, XT) are not canonical; (XT,) is Tr(x^T) = Tr(x)
+    m = InvariantMonomial(((XT,), (XT, X), (X, XT, XT)))
+    assert m.encode() == "xxt*xt*x"
+    assert m == InvariantMonomial((TraceWord((X, X, XT)), TraceWord((X, XT)),
+                                   TraceWord((X,))))
+    word = TraceWord((XT, XT, X))
+    assert InvariantMonomial((word, (X,))).words[0] is word
