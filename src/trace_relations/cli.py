@@ -29,13 +29,6 @@ def _add_sampler_flags(p):
                    help="RNG seed; a random one is drawn and reported if omitted")
     p.add_argument("--entry-bound", type=int, default=10,
                    help="sample entries are uniform integers in [-B, B]")
-    p.add_argument("--oversample", type=int, default=10,
-                   help="stop drawing evaluation rows after this many in a row "
-                        "leave the rank unchanged, at most k + oversample rows; "
-                        "a small value can cost escalations, never the result")
-    p.add_argument("--verify-trials", type=int, default=20,
-                   help="floor on the fresh-sample certification trials per "
-                        "relation; more are run where a 2^-30 bound needs them")
 
 
 def _config_from(args):
@@ -43,9 +36,7 @@ def _config_from(args):
     if seed is None:
         seed = random.SystemRandom().getrandbits(63)
         print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
-    return SamplerConfig(seed=seed, entry_bound=args.entry_bound,
-                         oversample=args.oversample,
-                         verify_trials=args.verify_trials)
+    return SamplerConfig(seed=seed, entry_bound=args.entry_bound)
 
 
 def _emit(text, output):
@@ -91,8 +82,7 @@ def cmd_dims(args):
         print("error: --max-d and --max-n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     config = _config_from(args)
-    table = rel_dimension_table(args.max_d, args.max_n, config,
-                                skip_stable=not args.compute_stable)
+    table = rel_dimension_table(args.max_d, args.max_n, config)
     lines = []
     if args.format == "csv":
         lines.append("d\\n," + ",".join(str(n) for n in range(1, args.max_n + 1)))
@@ -117,13 +107,11 @@ def cmd_verify(args):
     if list(rs.basis) != [m.encode() for m in basis]:
         raise ValueError("malformed relation file: basis is not the "
                          f"degree-{rs.d} invariant basis")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     if not rs.relations:
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")
         return EXIT_OK
-    trials = certification_trials(args.trials, rs.entry_bound, rs.d)
+    trials = certification_trials(rs.entry_bound, rs.d)
     seed = args.seed if args.seed is not None else rs.seed
     config = SamplerConfig(seed=seed, entry_bound=rs.entry_bound)
     failures = 0
@@ -174,17 +162,12 @@ def build_parser():
     p.add_argument("--max-d", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.add_argument("--compute-stable", action="store_true",
-                   help="compute stable-range cells instead of reporting 0 directly")
     p.add_argument("--output", default=None)
     _add_sampler_flags(p)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="re-verify a relation file on fresh samples")
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=20,
-                   help="floor on the fresh-sample trials per relation, "
-                        "raised as for --verify-trials")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -14,10 +14,8 @@ import json
 import random
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import count, islice, repeat
 from math import ceil, gcd, isqrt, lcm, log2
-from operator import mul
 
 from .dimensions import stable_range
 # evaluate_monomial is unused here but stays importable from this module:
@@ -37,16 +35,10 @@ class KernelCertificationError(Exception):
 class SamplerConfig:
     seed: int
     entry_bound: int = 10
-    oversample: int = 10
-    verify_trials: int = 20
 
     def __post_init__(self):
         if self.entry_bound < 1:
             raise ValueError("entry_bound must be >= 1")
-        if self.oversample < 0:
-            raise ValueError("oversample must be >= 0")
-        if self.verify_trials < 1:
-            raise ValueError("verify_trials must be >= 1")
 
 
 def stream(seed, *labels):
@@ -97,25 +89,15 @@ def build_evaluation_matrix(n, d, m, config, basis=None):
     return list(islice(_evaluation_rows(n, d, config, basis), m))
 
 
-def _integer_row(row):
-    """The row itself if every entry is an int, else it times the lcm of its
-    denominators."""
-    if all(map(isinstance, row, repeat(int))):
-        return row
-    fr = [Fraction(e) for e in row]
-    denom = lcm(*(f.denominator for f in fr))
-    return [int(f * denom) for f in fr]
-
-
 def normalize_vector(vec):
-    """Primitive integer vector with positive leading nonzero coordinate."""
-    ints = _integer_row(vec)
-    if not any(ints):
+    """The integer vector divided by the gcd of its entries, signed so that
+    its leading nonzero coordinate is positive."""
+    if not any(vec):
         raise ValueError("cannot normalize the zero vector")
-    g = gcd(*ints)
-    if next(v for v in ints if v) < 0:
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple(v // g for v in vec)
 
 
 def _is_prime(q):
@@ -141,8 +123,10 @@ FIRST_PRIME = 2 ** 61 - 1
 
 def _primes():
     """The fixed moduli of `nullspace`: 2^61 - 1, then the primes below it in
-    descending order."""
-    q = FIRST_PRIME
+    descending order.  FIRST_PRIME is a Mersenne prime, so it is yielded
+    untested; the tests check it with `_is_prime`."""
+    yield FIRST_PRIME
+    q = FIRST_PRIME - 2
     while True:
         if _is_prime(q):
             yield q
@@ -330,8 +314,7 @@ def nullspace(rows, echelon=None):
     """Exact basis of {v : Mv = 0}, one primitive integer vector per free
     column, in column order.
 
-    Accepts integer or rational entries; a rational row is scaled by the lcm
-    of its denominators.  The reduced row echelon form over GF(p),
+    The entries of M are ints.  The reduced row echelon form over GF(p),
     p = 2^61 - 1, gives for each free column fc the vector with 1 at fc and
     -R[i][fc] at each pivot column below fc.  Each entry is lifted to a
     rational by rational reconstruction, the vector is scaled to a primitive
@@ -360,13 +343,12 @@ def nullspace(rows, echelon=None):
     k = len(rows[0])
     if any(len(row) != k for row in rows):
         raise ValueError("ragged matrix")
-    mat = [_integer_row(row) for row in rows]
     best = residues = modulus = None
     for p in _primes():
         if echelon is not None and p == echelon.p:
             pivots, reduced = echelon.rref()
         else:
-            pivots, reduced = _rref_mod(mat, p)
+            pivots, reduced = _rref_mod(rows, p)
         # a prime that loses rank loses pivots or moves them later
         key = (-len(pivots), pivots)
         if best is None or key < best:
@@ -384,7 +366,7 @@ def nullspace(rows, echelon=None):
         # R[i][fc] is 0 at every pivot column after fc
         basis = [_lift(fc, pivots, [row[fc] for row in residues], modulus, k)
                  for fc in range(k) if fc not in piv_set]
-        if None not in basis and _annihilates(mat, basis):
+        if None not in basis and _annihilates(rows, basis):
             return basis
 
 
@@ -397,10 +379,10 @@ def rank_of(rows):
 CERTIFICATE_BITS = 30
 
 
-def certification_trials(verify_trials, entry_bound, d):
-    """Fresh-sample trials per relation: at least verify_trials, and enough
-    that a false degree-d relation passes all of them with probability at
-    most 2^-CERTIFICATE_BITS.
+def certification_trials(entry_bound, d):
+    """Fresh-sample trials per relation: at least 20, and enough that a
+    false degree-d relation passes all of them with probability at most
+    2^-CERTIFICATE_BITS.
 
     Schwartz-Zippel: a nonzero degree-d polynomial vanishes on entries
     uniform in [-B, B] with probability at most d / (2B + 1); excluding the
@@ -411,22 +393,21 @@ def certification_trials(verify_trials, entry_bound, d):
     if d >= q:
         raise ValueError(f"degree {d} needs an entry bound B with 2B + 1 > d, "
                          f"B >= {(d + 1) // 2}; got B = {entry_bound}")
-    return max(verify_trials, ceil(CERTIFICATE_BITS / log2(q / d)))
+    return max(20, ceil(CERTIFICATE_BITS / log2(q / d)))
 
 
 def _vanish_on_fresh_samples(vectors, n, d, trials, rng, basis, config):
-    """True iff every vector annihilates each of `trials` fresh samples.
+    """True iff every vector annihilates each of `trials` fresh samples,
+    checked exactly by `_annihilates` on their evaluation rows.
 
     All vectors share the samples; each one still meets `trials` independent
     draws, so its Schwartz-Zippel bound is what it would be alone.
     """
     if not vectors:
         return True
-    for _ in range(trials):
-        row = evaluate_basis_row(d, _sample_nonzero(n, rng, config), basis)
-        if any(sum(map(mul, v, row)) for v in vectors):
-            return False
-    return True
+    rows = [evaluate_basis_row(d, _sample_nonzero(n, rng, config), basis)
+            for _ in range(trials)]
+    return _annihilates(rows, vectors)
 
 
 def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
@@ -519,23 +500,24 @@ class RelationSet:
 
 
 MAX_ESCALATIONS = 3
+IDLE_ROWS = 10
 
 
 def _draw_rows(n, d, config, basis):
-    """A prefix of build_evaluation_matrix(n, d, k + oversample, config) and
+    """A prefix of build_evaluation_matrix(n, d, k + IDLE_ROWS, config) and
     its echelon form over GF(FIRST_PRIME).
 
-    Rows are drawn until the rank reaches k, or `oversample` (>= 1)
-    consecutive rows leave it unchanged, or k + oversample rows are drawn.
+    Rows are drawn until the rank reaches k, or IDLE_ROWS consecutive rows
+    leave it unchanged, or k + IDLE_ROWS rows are drawn.
     """
     k = len(basis)
     echelon = _Echelon(k, FIRST_PRIME)
     rows = []
     idle = 0
-    for row in islice(_evaluation_rows(n, d, config, basis), k + config.oversample):
+    for row in islice(_evaluation_rows(n, d, config, basis), k + IDLE_ROWS):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
-        if echelon.rank == k or idle == config.oversample > 0:
+        if echelon.rank == k or idle == IDLE_ROWS:
             break
     return rows, echelon
 
@@ -545,13 +527,13 @@ def certified_kernel(n, d, config, basis=None):
     re-verified on fresh draws; escalates the entry bound (doubling,
     reseeded) on verification failure.
 
-    Rows are drawn one at a time, and drawing stops once `oversample`
+    Rows are drawn one at a time, and drawing stops once IDLE_ROWS
     consecutive rows leave the GF(p) rank unchanged, or the rank reaches k;
-    never more than k + oversample rows are drawn.  The rows are a prefix of
-    the k + oversample rows of build_evaluation_matrix, whose kernel contains
+    never more than k + IDLE_ROWS rows are drawn.  The rows are a prefix of
+    the k + IDLE_ROWS rows of build_evaluation_matrix, whose kernel contains
     the true one.  A prefix that stops before the rank has settled only
-    yields extra vectors, which certification rejects, so a small
-    oversample can cost escalations but never changes the result.
+    yields extra vectors, which certification rejects, so stopping early
+    can cost escalations but never changes the result.
     """
     if basis is None:
         basis = enumerate_invariant_basis(d)
@@ -559,7 +541,7 @@ def certified_kernel(n, d, config, basis=None):
         cfg = replace(config,
                       seed=f"{config.seed}:n{n}:attempt{attempt}",
                       entry_bound=config.entry_bound * 2 ** attempt)
-        trials = certification_trials(cfg.verify_trials, cfg.entry_bound, d)
+        trials = certification_trials(cfg.entry_bound, d)
         rows, echelon = _draw_rows(n, d, cfg, basis)
         vectors = nullspace(rows, echelon)
         vrng = stream(config.seed, "verify", n, attempt)
@@ -624,18 +606,19 @@ def _relations(n, d, config, basis, kernel=None):
     return [v for v in kernel if _last_nonzero(v) not in taken], ambient
 
 
-def rel_dimension_table(max_d, max_n, config, skip_stable=True):
+def rel_dimension_table(max_d, max_n, config):
     """dict {(d, n): relation count} for 1 <= d <= max_d, 1 <= n <= max_n.
 
-    Each (n, d) kernel is certified once: cell (d, n)'s kernel on
-    (n+1) x (n+1) samples is cell (d, n+1)'s own kernel.
+    Stable-range cells (d <= n) are 0 without a computation.  Each (n, d)
+    kernel is certified once: cell (d, n)'s kernel on (n+1) x (n+1)
+    samples is cell (d, n+1)'s own kernel.
     """
     table = {}
     for d in range(1, max_d + 1):
         basis = enumerate_invariant_basis(d)
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
-            if skip_stable and stable_range(d, n):
+            if stable_range(d, n):
                 table[(d, n)] = 0
                 carried = None
                 continue

@@ -265,7 +265,7 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
     if config is None:
         config = SamplerConfig(seed=0)
     d = n + 1
-    trials = certification_trials(config.verify_trials, config.entry_bound, d)
+    trials = certification_trials(config.entry_bound, d)
     basis = enumerate_invariant_basis(d)
     shape = two_column_shape(n)
     tableaux = enumerate_standard_tableaux(shape)

@@ -139,20 +139,6 @@ def test_verify_zero_relation_fails(capsys, tmp_path):
     assert out.splitlines()[-1].endswith("FAIL")
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_verify_trials_below_one_is_usage_error(capsys, tmp_path, trials):
-    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
-    # Tr(x^3) = 0 is false; the empty list would pass vacuously
-    for relations in ([["1", "0", "0", "0", "0"]], []):
-        obj["relations"] = relations
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
-        rc, out, err = run(capsys, "verify", "--input", str(bad), "--trials", trials)
-        assert rc == 2
-        assert "PASS" not in out
-        assert err.startswith("error: ")
-
-
 @pytest.mark.parametrize("basis", [["xxx", "xxx"],
                                    ["x*x*x", "xt*x", "xx*x", "xxt", "xxx"]])
 def test_verify_basis_mismatch_is_usage_error(capsys, tmp_path, basis):
@@ -260,14 +246,20 @@ def test_dims_rejects_nonpositive_sizes(capsys, flags):
     assert err == "error: --max-d and --max-n must be >= 1\n"
 
 
-def test_dims_compute_stable_matches_skipped_cells(capsys):
-    # every stable-range cell computes to 0, the value reported without the flag
-    argv = ("dims", "--max-d", "4", "--max-n", "4", "--seed", "5")
-    rc, skipped, _ = run(capsys, *argv)
-    assert rc == 0
-    rc, computed, _ = run(capsys, *argv, "--compute-stable")
-    assert rc == 0
-    assert computed == skipped
+@pytest.mark.parametrize("argv", [
+    ["relations", "--n", "2", "--d", "3", "--oversample", "10"],
+    ["relations", "--n", "2", "--d", "3", "--verify-trials", "20"],
+    ["dims", "--max-d", "2", "--max-n", "2", "--oversample", "10"],
+    ["dims", "--max-d", "2", "--max-n", "2", "--verify-trials", "20"],
+    ["dims", "--max-d", "2", "--max-n", "2", "--compute-stable"],
+    ["verify", "--input", str(DATA / "golden_n2_d3.json"), "--trials", "20"]],
+    ids=["relations-oversample", "relations-verify-trials", "dims-oversample",
+         "dims-verify-trials", "dims-compute-stable", "verify-trials"])
+def test_removed_sampler_flags_are_usage_errors(argv):
+    # trial counts and the row stop rule are fixed; no flag tunes them
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_bench_is_usage_error():

@@ -27,8 +27,6 @@ CFG = SamplerConfig(seed=42)
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, entry_bound=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, oversample=-1)
 
 
 def test_sample_matrix_deterministic_and_bounded():
@@ -61,7 +59,7 @@ def test_build_evaluation_matrix_shape():
 
 
 def test_normalize_vector():
-    assert normalize_vector([Fraction(-1, 2), Fraction(1, 3)]) == (3, -2)
+    assert normalize_vector([-3, 2]) == (3, -2)
     assert normalize_vector([0, -4, 6]) == (0, 2, -3)
     with pytest.raises(ValueError):
         normalize_vector([0, 0])
@@ -71,10 +69,6 @@ def test_nullspace_trivial_cases():
     assert nullspace([[1, 0], [0, 1]]) == []
     assert nullspace([[1, 1]]) == [(1, -1)]
     assert nullspace([[0, 0]]) == [(1, 0), (0, 1)]
-
-
-def test_nullspace_rational_entries():
-    assert nullspace([[Fraction(1, 2), Fraction(1, 2)]]) == [(1, -1)]
 
 
 matrix_strategy = st.integers(2, 5).flatmap(
@@ -178,6 +172,8 @@ def test_moduli_are_descending_primes():
     assert [q for q in range(41, 5000, 2) if montecarlo._is_prime(q)] == small
     first = list(itertools.islice(montecarlo._primes(), 3))
     assert first == [2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45]
+    # _primes yields the first modulus without testing it
+    assert montecarlo._is_prime(montecarlo.FIRST_PRIME)
 
 
 def test_nullspace_entries_wider_than_a_prime():
@@ -361,8 +357,10 @@ def test_find_relations_n2_d3():
 
 
 def test_find_relations_stable_range_empty():
-    assert find_relations(3, 3, CFG).relations == ()
-    assert find_relations(2, 2, CFG).relations == ()
+    # rel_dimension_table reports these cells as 0 without computing them
+    for n in range(1, 5):
+        for d in range(1, n + 1):
+            assert find_relations(n, d, CFG).relations == ()
 
 
 def test_find_relations_n2_d4():
@@ -450,20 +448,38 @@ def test_verify_relation_rejects_zero_vector():
     assert not verify_relation((0, 0, 0, 0, 0), 2, 3, 20, stream(9, "v"), basis=basis)
 
 
-@pytest.mark.parametrize("position", ["first", "last"])
-def test_certified_kernel_rejects_spurious_vector(monkeypatch, position):
+def _unit(kernel):
+    # basis invariant 0 alone is no relation: on diag(x, 0, ..., 0) it is x^d
+    return (1,) + (0,) * (len(kernel[0]) - 1)
+
+
+def _near_miss(kernel):
+    # a true kernel vector, off by one in its last coordinate
+    return kernel[-1][:-1] + (kernel[-1][-1] + 1,)
+
+
+@pytest.mark.parametrize("n,d,spurious,position", [
+    (2, 3, _unit, "first"), (2, 3, _unit, "last"),
+    (1, 7, _unit, "first"), (1, 7, _unit, "last"),
+    (1, 7, _near_miss, "last"), (2, 5, _near_miss, "first")],
+    ids=["first", "last", "many-first", "many-last", "many-near-miss",
+         "near-miss"])
+def test_certified_kernel_rejects_spurious_vector(monkeypatch, n, d, spurious,
+                                                  position):
     # every attempt's kernel carries a non-relation; the shared certification
-    # samples must catch it wherever it sits, so escalation runs out
+    # samples must catch it wherever it sits, also among the 75 vectors of
+    # (1, 7) and when it is one unit away from a relation, so escalation
+    # runs out
     true_nullspace = montecarlo.nullspace
-    bad = (1, 0, 0, 0, 0)
 
     def padded(rows, *args):
         kernel = true_nullspace(rows, *args)
+        bad = spurious(kernel)
         return [bad] + kernel if position == "first" else kernel + [bad]
 
     monkeypatch.setattr(montecarlo, "nullspace", padded)
     with pytest.raises(KernelCertificationError):
-        certified_kernel(2, 3, CFG)
+        certified_kernel(n, d, CFG)
 
 
 def _kernel_rows(monkeypatch):
@@ -479,28 +495,32 @@ def _kernel_rows(monkeypatch):
     return seen
 
 
+IDLE_COUNTS = (1, 2, 10)
+
+
 @pytest.mark.parametrize("n,d", [(1, 7), (2, 5), (3, 6), (4, 5)])
 def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, n, d):
+    # the rows are a prefix of the k + IDLE_ROWS rows of the evaluation matrix
     seen = _kernel_rows(monkeypatch)
-    certified_kernel(n, d, CFG)
     k = len(enumerate_invariant_basis(d))
     first = replace(CFG, seed=f"{CFG.seed}:n{n}:attempt0")
-    full = build_evaluation_matrix(n, d, k + CFG.oversample, first)
-    assert 1 <= len(seen[0]) <= len(full)
-    assert seen[0] == full[:len(seen[0])]
+    for idle in IDLE_COUNTS:
+        monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
+        seen.clear()
+        certified_kernel(n, d, CFG)
+        full = build_evaluation_matrix(n, d, k + idle, first)
+        assert 1 <= len(seen[0]) <= len(full)
+        assert seen[0] == full[:len(seen[0])]
 
 
 def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
     # on 1 x 1 matrices every degree-7 invariant is a multiple of x^7: rank 1
     seen = _kernel_rows(monkeypatch)
-    assert len(certified_kernel(1, 7, CFG)) == 75
-    assert len(seen) == 1 and len(seen[0]) <= 1 + CFG.oversample
-
-
-def test_certified_kernel_without_oversample_draws_k_rows(monkeypatch):
-    seen = _kernel_rows(monkeypatch)
-    certified_kernel(2, 5, replace(CFG, oversample=0))
-    assert [len(rows) for rows in seen] == [len(enumerate_invariant_basis(5))]
+    for idle in IDLE_COUNTS:
+        monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
+        seen.clear()
+        assert len(certified_kernel(1, 7, CFG)) == 75
+        assert len(seen) == 1 and len(seen[0]) <= 1 + idle
 
 
 def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
@@ -520,31 +540,33 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (2, 6), (3, 6), (4, 7)])
-def test_relations_do_not_depend_on_oversample(n, d):
-    # a smaller oversample stops sooner and may escalate, never changes
+def test_relations_do_not_depend_on_oversample(monkeypatch, n, d):
+    # fewer idle rows stop the drawing sooner and may escalate, never change
     # the certified result
-    results = {find_relations(n, d, SamplerConfig(seed=13, oversample=o)).relations
-               for o in (1, 2, 10)}
+    results = set()
+    for idle in IDLE_COUNTS:
+        monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
+        results.add(find_relations(n, d, SamplerConfig(seed=13)).relations)
     assert len(results) == 1
 
 
 def test_certification_trials_meet_the_bound_at_every_degree():
-    # unchanged wherever B = 10 and d <= 7; d = 8 needs more than the floor
-    assert [certification_trials(20, 10, d) for d in range(1, 8)] == [20] * 7
-    assert certification_trials(20, 10, 8) == 22
-    assert certification_trials(40, 10, 8) == 40
+    # the floor of 20 wherever B = 10 and d <= 7; d = 8 needs more
+    assert [certification_trials(10, d) for d in range(1, 8)] == [20] * 7
+    assert certification_trials(10, 8) == 22
     for b in (1, 2, 10, 80):
         for d in range(1, 2 * b + 1):
-            trials = certification_trials(1, b, d)
+            trials = certification_trials(b, d)
             per_trial = math.log2(d / (2 * b + 1))
             assert trials * per_trial <= -30
-            assert trials == 1 or (trials - 1) * per_trial > -30
+            assert trials >= 20
+            assert trials == 20 or (trials - 1) * per_trial > -30
 
 
 @pytest.mark.parametrize("b,d", [(1, 3), (1, 4), (10, 21), (10, 30)])
 def test_certification_trials_refuse_degree_past_entry_range(b, d):
     with pytest.raises(ValueError):
-        certification_trials(20, b, d)
+        certification_trials(b, d)
 
 
 def test_engines_run_the_derived_trial_count(monkeypatch):
@@ -561,7 +583,7 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
     monkeypatch.setattr(montecarlo, "_vanish_on_fresh_samples", recording)
     find_relations(2, 3, cfg)
     assert seen[0] == 41
-    assert seen == [certification_trials(20, 2 * 2 ** a, 3)
+    assert seen == [certification_trials(2 * 2 ** a, 3)
                     for a in range(len(seen))]
     seen.clear()
     symmetrizer_relation_space(2, cfg)
