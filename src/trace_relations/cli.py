@@ -13,8 +13,9 @@ import time
 
 from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, SamplerConfig,
-                         certification_trials, find_relations, rank_of,
-                         rel_dimension_table, stream, verify_relation)
+                         certification_trials, find_relations,
+                         fresh_sample_verdicts, rank_of, rel_dimension_table,
+                         stream)
 from .symmetrizer import DEFAULT_SYMMETRIZER_N_CAP, symmetrizer_relation_space
 from .words import EnumerationCapError, enumerate_invariant_basis
 
@@ -114,13 +115,11 @@ def cmd_verify(args):
     trials = certification_trials(rs.entry_bound, rs.d)
     seed = args.seed if args.seed is not None else rs.seed
     config = SamplerConfig(seed=seed, entry_bound=rs.entry_bound)
-    failures = 0
-    for i, rel in enumerate(rs.relations):
-        rng = stream(seed, "cli-verify", i)
-        ok = verify_relation(rel, rs.n, rs.d, trials, rng,
-                             basis=basis, config=config)
+    verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d, trials,
+                                     stream(seed, "cli-verify"), basis, config)
+    for i, ok in enumerate(verdicts):
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
+    failures = verdicts.count(False)
     if failures:
         print(f"# {failures} of {len(rs.relations)} relations failed", file=sys.stderr)
     rank = rank_of(rs.relations)

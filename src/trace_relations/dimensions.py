@@ -8,9 +8,7 @@ def rel_dim_formula(n):
     (n+3)/2 for odd n; both branches equal floor((n+1)/2) + 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n % 2 == 0:
-        return n // 2 + 1
-    return (n + 3) // 2
+    return (n + 1) // 2 + 1
 
 
 def stable_range(d, n):

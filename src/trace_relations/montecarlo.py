@@ -14,7 +14,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, replace
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from math import ceil, gcd, isqrt, lcm, log2
 
 from .dimensions import stable_range
@@ -67,26 +67,23 @@ def sample_matrix(n, rng, config):
     return MatrixSample(n, zip(*[iter(entries)] * n))
 
 
-def _sample_nonzero(n, rng, config):
-    # Zero matrices satisfy every relation vacuously; excluded from draws.
+def _evaluation_rows(n, d, rng, config, basis):
+    """The basis invariants on each successive sample drawn from `rng`.
+
+    Zero matrices satisfy every relation vacuously, so they are skipped.
+    """
     while True:
         x = sample_matrix(n, rng, config)
-        if any(e != 0 for row in x.entries for e in row):
-            return x
-
-
-def _evaluation_rows(n, d, config, basis):
-    """Row j, for j = 0, 1, ...: the basis invariants on the j-th sample."""
-    for j in count():
-        x = sample_matrix(n, stream(config.seed, "row", j), config)
-        yield evaluate_basis_row(d, x, basis)
+        if any(map(any, x.entries)):
+            yield evaluate_basis_row(d, x, basis)
 
 
 def build_evaluation_matrix(n, d, m, config, basis=None):
-    """m x k matrix whose row j holds the basis invariants on the j-th sample."""
+    """m x k matrix of the first m rows drawn from stream(seed, "rows")."""
     if basis is None:
         basis = enumerate_invariant_basis(d)
-    return list(islice(_evaluation_rows(n, d, config, basis), m))
+    rng = stream(config.seed, "rows")
+    return list(islice(_evaluation_rows(n, d, rng, config, basis), m))
 
 
 def normalize_vector(vec):
@@ -279,7 +276,7 @@ def _lift(fc, pivots, column, modulus, k):
 
 
 def _annihilates(mat, vectors):
-    """True iff M v = 0 for every v in `vectors`, checked exactly.
+    """For each v in `vectors`, whether M v = 0, checked exactly.
 
     Each column of the integer matrix M is packed once per call into one
     int: row i in the i-th slot of W bits, holding M[i][j] + 2^(W-1), which
@@ -291,7 +288,7 @@ def _annihilates(mat, vectors):
     W >= bits(M) + bits(v) + bits(k) + 2 makes the test exact.
     """
     if not vectors:
-        return True
+        return []
     k = len(mat[0])
     mbits = max(max(max(row), -min(row)) for row in mat).bit_length()
     vbits = max(max(max(v), -min(v)) for v in vectors).bit_length()
@@ -300,14 +297,14 @@ def _annihilates(mat, vectors):
     cols = [int.from_bytes(_slot_bytes(map(half.__add__, col), size), "little")
             for col in zip(*mat)]
     offsets = half * _ones(size, len(mat))
+    verdicts = []
     for v in vectors:
         acc = -sum(v) * offsets
         for c, col in zip(v, cols):
             if c:
                 acc += c * col
-        if acc:
-            return False
-    return True
+        verdicts.append(not acc)
+    return verdicts
 
 
 def nullspace(rows, echelon=None):
@@ -366,7 +363,7 @@ def nullspace(rows, echelon=None):
         # R[i][fc] is 0 at every pivot column after fc
         basis = [_lift(fc, pivots, [row[fc] for row in residues], modulus, k)
                  for fc in range(k) if fc not in piv_set]
-        if None not in basis and _annihilates(rows, basis):
+        if None not in basis and all(_annihilates(rows, basis)):
             return basis
 
 
@@ -396,18 +393,18 @@ def certification_trials(entry_bound, d):
     return max(20, ceil(CERTIFICATE_BITS / log2(q / d)))
 
 
-def _vanish_on_fresh_samples(vectors, n, d, trials, rng, basis, config):
-    """True iff every vector annihilates each of `trials` fresh samples,
-    checked exactly by `_annihilates` on their evaluation rows.
+def fresh_sample_verdicts(vectors, n, d, trials, rng, basis, config):
+    """For each vector, whether it is nonzero and annihilates each of
+    `trials` fresh samples drawn from `rng`, checked exactly by
+    `_annihilates` on their evaluation rows.
 
     All vectors share the samples; each one still meets `trials` independent
     draws, so its Schwartz-Zippel bound is what it would be alone.
     """
     if not vectors:
-        return True
-    rows = [evaluate_basis_row(d, _sample_nonzero(n, rng, config), basis)
-            for _ in range(trials)]
-    return _annihilates(rows, vectors)
+        return []
+    rows = list(islice(_evaluation_rows(n, d, rng, config, basis), trials))
+    return [any(v) and ok for v, ok in zip(vectors, _annihilates(rows, vectors))]
 
 
 def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
@@ -419,11 +416,10 @@ def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
         raise ValueError("coefficient length does not match basis size")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not any(coeffs):
-        return False
     if config is None:
         config = SamplerConfig(seed=0)
-    return _vanish_on_fresh_samples([coeffs], n, d, trials, rng, basis, config)
+    [ok] = fresh_sample_verdicts([coeffs], n, d, trials, rng, basis, config)
+    return ok
 
 
 def _json_int(value, key):
@@ -514,7 +510,8 @@ def _draw_rows(n, d, config, basis):
     echelon = _Echelon(k, FIRST_PRIME)
     rows = []
     idle = 0
-    for row in islice(_evaluation_rows(n, d, config, basis), k + IDLE_ROWS):
+    rng = stream(config.seed, "rows")
+    for row in islice(_evaluation_rows(n, d, rng, config, basis), k + IDLE_ROWS):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
         if echelon.rank == k or idle == IDLE_ROWS:
@@ -544,8 +541,8 @@ def certified_kernel(n, d, config, basis=None):
         trials = certification_trials(cfg.entry_bound, d)
         rows, echelon = _draw_rows(n, d, cfg, basis)
         vectors = nullspace(rows, echelon)
-        vrng = stream(config.seed, "verify", n, attempt)
-        if _vanish_on_fresh_samples(vectors, n, d, trials, vrng, basis, cfg):
+        vrng = stream(cfg.seed, "verify")
+        if all(fresh_sample_verdicts(vectors, n, d, trials, vrng, basis, cfg)):
             return vectors
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "
@@ -614,7 +611,8 @@ def rel_dimension_table(max_d, max_n, config):
     samples is cell (d, n+1)'s own kernel.
     """
     table = {}
-    for d in range(1, max_d + 1):
+    # largest degree first, so a basis cap fails before any cell is computed
+    for d in range(max_d, 0, -1):
         basis = enumerate_invariant_basis(d)
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):

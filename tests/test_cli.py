@@ -3,9 +3,9 @@ import pathlib
 
 import pytest
 
-from trace_relations import symmetrizer
+from trace_relations import montecarlo, symmetrizer
 from trace_relations.cli import main
-from trace_relations.montecarlo import RelationSet
+from trace_relations.montecarlo import RelationSet, certification_trials
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -139,6 +139,34 @@ def test_verify_zero_relation_fails(capsys, tmp_path):
     assert out.splitlines()[-1].endswith("FAIL")
 
 
+def test_verify_checks_all_relations_on_one_sample_set(capsys, monkeypatch):
+    calls = []
+    true_row = montecarlo.evaluate_basis_row
+
+    def counting(*args):
+        calls.append(args)
+        return true_row(*args)
+
+    monkeypatch.setattr(montecarlo, "evaluate_basis_row", counting)
+    rc, out, _ = run(capsys, "verify", "--input", str(DATA / "golden_n2_d3.json"))
+    assert rc == 0 and out.count("PASS") == 2
+    assert len(calls) == certification_trials(10, 3) == 20
+
+
+def test_verify_reports_each_relation(capsys, tmp_path):
+    rc, out, _ = run(capsys, "relations", "--n", "2", "--d", "4", "--seed", "1")
+    obj = json.loads(out)
+    assert rc == 0 and len(obj["relations"]) == 3
+    obj["relations"][1][-1] = str(int(obj["relations"][1][-1]) + 1)
+    bad = tmp_path / "middle.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(bad))
+    assert rc == 4
+    assert out.splitlines() == ["relation 0: PASS", "relation 1: FAIL",
+                                "relation 2: PASS"]
+    assert "# 1 of 3 relations failed" in err
+
+
 @pytest.mark.parametrize("basis", [["xxx", "xxx"],
                                    ["x*x*x", "xt*x", "xx*x", "xxt", "xxx"]])
 def test_verify_basis_mismatch_is_usage_error(capsys, tmp_path, basis):
@@ -234,6 +262,18 @@ def test_dims_csv(capsys):
     # stable range cells are zero
     assert rows[1][1:] == ["0", "0", "0"]
     assert rows[3][2:] == ["2", "0"]
+
+
+def test_dims_hits_the_basis_cap_before_any_cell(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("certified_kernel ran below the capped degree")
+
+    monkeypatch.setenv("TRACE_RELATIONS_CAP", "3")
+    monkeypatch.setattr(montecarlo, "certified_kernel", never)
+    rc, out, err = run(capsys, "dims", "--max-d", "4", "--max-n", "2", "--seed", "1")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flags", [("--max-d", "0", "--max-n", "2"),

@@ -51,6 +51,14 @@ def test_sample_matrix_draws_the_randint_stream(bound):
             assert sample_matrix(n, random.Random(seed), cfg).entries == expected
 
 
+def test_evaluation_rows_skip_the_zero_matrix():
+    # with B = 1 a 1 x 1 sample is zero a third of the time; its row would
+    # be all zero and vanish under every coefficient vector
+    rows = build_evaluation_matrix(1, 1, 60, SamplerConfig(seed=2, entry_bound=1))
+    assert len(rows) == 60
+    assert all(any(row) for row in rows)
+
+
 def test_build_evaluation_matrix_shape():
     rows = build_evaluation_matrix(2, 3, 5, CFG)
     assert len(rows) == 5 and all(len(r) == 5 for r in rows)
@@ -296,15 +304,16 @@ def test_packed_identity_check_matches_column_sums(v, data):
     rows = _orthogonal_rows(v, picks)
     cols = list(zip(*rows))
     assert annihilates(cols, v)
-    assert montecarlo._annihilates(rows, [v])
     # a near miss: one entry off by one
     miss = list(v)
     miss[data.draw(index)] += data.draw(st.sampled_from([-1, 1]))
-    assert montecarlo._annihilates(rows, [miss]) == annihilates(cols, miss)
-    assert montecarlo._annihilates(rows, [v, miss]) == annihilates(cols, miss)
     # and any vector against the same rows
     other = data.draw(st.lists(_big_entries, min_size=k, max_size=k))
-    assert montecarlo._annihilates(rows, [other]) == annihilates(cols, other)
+    vectors = [v, miss, other]
+    # one verdict per vector, whatever the others in the set
+    for subset in ([v], [miss], [other], vectors, vectors[::-1]):
+        assert montecarlo._annihilates(rows, subset) == [annihilates(cols, w)
+                                                          for w in subset]
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
@@ -320,10 +329,10 @@ def test_packed_identity_check_reads_the_first_and_last_rows(sign):
     middle = [[b, -a, 0]] * 3
     for rows in (middle + [[x, y, -1]], [[x, y, -1]] + middle):
         cols = list(zip(*rows))
-        assert annihilates(cols, v) and montecarlo._annihilates(rows, [v])
-        assert not annihilates(cols, miss)
-        assert not montecarlo._annihilates(rows, [miss])
-        assert not montecarlo._annihilates(rows, [v, miss])
+        assert annihilates(cols, v) and not annihilates(cols, miss)
+        for vectors in ([v], [miss], [v, miss], [miss, v]):
+            assert montecarlo._annihilates(rows, vectors) == [
+                annihilates(cols, w) for w in vectors]
 
 
 def test_packed_identity_check_never_carries_between_slots():
@@ -336,9 +345,9 @@ def test_packed_identity_check_never_carries_between_slots():
         cols = list(zip(*rows))
         for u in range(260):
             v = [2 ** u] * (k - 1) + [-1]
-            for w in (v, [-c for c in v]):
-                assert not annihilates(cols, w)
-                assert not montecarlo._annihilates(rows, [w])
+            vectors = [v, [-c for c in v]]
+            assert montecarlo._annihilates(rows, vectors) == [
+                annihilates(cols, w) for w in vectors] == [False, False]
 
 
 def test_rank_of():
@@ -574,13 +583,13 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
     from trace_relations.symmetrizer import symmetrizer_relation_space
     cfg = SamplerConfig(seed=3, entry_bound=2)
     seen = []
-    true_vanish = montecarlo._vanish_on_fresh_samples
+    true_verdicts = montecarlo.fresh_sample_verdicts
 
     def recording(vectors, n, d, trials, *rest):
         seen.append(trials)
-        return true_vanish(vectors, n, d, trials, *rest)
+        return true_verdicts(vectors, n, d, trials, *rest)
 
-    monkeypatch.setattr(montecarlo, "_vanish_on_fresh_samples", recording)
+    monkeypatch.setattr(montecarlo, "fresh_sample_verdicts", recording)
     find_relations(2, 3, cfg)
     assert seen[0] == 41
     assert seen == [certification_trials(2 * 2 ** a, 3)
