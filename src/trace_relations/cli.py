@@ -32,12 +32,12 @@ def _add_sampler_flags(p):
                    help="sample entries are uniform integers in [-B, B]")
 
 
-def _config_from(args):
+def _config_from(args, entry_bound):
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(63)
         print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
-    return SamplerConfig(seed=seed, entry_bound=args.entry_bound)
+    return SamplerConfig(seed=seed, entry_bound=entry_bound)
 
 
 def _emit(text, output):
@@ -61,7 +61,7 @@ def cmd_enumerate(args):
 
 
 def cmd_relations(args):
-    config = _config_from(args)
+    config = _config_from(args, args.entry_bound)
     t0 = time.perf_counter()
     if args.method == METHOD_SYMMETRIZER:
         if args.d != args.n + 1:
@@ -82,21 +82,18 @@ def cmd_dims(args):
     if args.max_d < 1 or args.max_n < 1:
         print("error: --max-d and --max-n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    config = _config_from(args)
+    config = _config_from(args, args.entry_bound)
     table = rel_dimension_table(args.max_d, args.max_n, config)
-    lines = []
+    ns = range(1, args.max_n + 1)
+    rows = [["d\\n", *map(str, ns)]]
+    rows += [[str(d), *(str(table[(d, n)]) for n in ns)]
+             for d in range(1, args.max_d + 1)]
     if args.format == "csv":
-        lines.append("d\\n," + ",".join(str(n) for n in range(1, args.max_n + 1)))
-        for d in range(1, args.max_d + 1):
-            lines.append(f"{d}," + ",".join(str(table[(d, n)])
-                                            for n in range(1, args.max_n + 1)))
+        lines = [",".join(row) for row in rows]
     else:
         width = max(4, max(len(str(v)) for v in table.values()) + 2)
-        lines.append("d\\n" + "".join(str(n).rjust(width)
-                                      for n in range(1, args.max_n + 1)))
-        for d in range(1, args.max_d + 1):
-            lines.append(str(d).ljust(3) + "".join(str(table[(d, n)]).rjust(width)
-                                                   for n in range(1, args.max_n + 1)))
+        lines = [row[0].ljust(3) + "".join(cell.rjust(width) for cell in row[1:])
+                 for row in rows]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -104,25 +101,24 @@ def cmd_dims(args):
 def cmd_verify(args):
     with open(args.input) as fh:
         rs = RelationSet.from_json(fh.read())
-    basis = enumerate_invariant_basis(rs.d)
-    if list(rs.basis) != [m.encode() for m in basis]:
-        raise ValueError("malformed relation file: basis is not the "
-                         f"degree-{rs.d} invariant basis")
+    # a fresh seed unless --seed is given: a file must not pick its own samples
+    config = _config_from(args, rs.entry_bound)
     if not rs.relations:
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")
         return EXIT_OK
     trials = certification_trials(rs.entry_bound, rs.d)
-    seed = args.seed if args.seed is not None else rs.seed
-    config = SamplerConfig(seed=seed, entry_bound=rs.entry_bound)
     verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d, trials,
-                                     stream(seed, "cli-verify"), basis, config)
+                                     stream(config.seed, "cli-verify"),
+                                     enumerate_invariant_basis(rs.d), config)
     for i, ok in enumerate(verdicts):
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
     failures = verdicts.count(False)
     if failures:
         print(f"# {failures} of {len(rs.relations)} relations failed", file=sys.stderr)
-    rank = rank_of(rs.relations)
+    # rank(M) = rank(M^T); the transpose's kernel is empty when the
+    # relations are independent, so no vector is lifted
+    rank = rank_of(list(zip(*rs.relations)))
     dependent = rank < len(rs.relations)
     if dependent:
         print(f"# relations are linearly dependent: rank {rank} of "
@@ -167,7 +163,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-verify a relation file on fresh samples")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed; a random one is drawn and reported if omitted")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice, repeat
 from math import ceil, gcd, isqrt, lcm, log2
 
@@ -78,10 +78,9 @@ def _evaluation_rows(n, d, rng, config, basis):
             yield evaluate_basis_row(d, x, basis)
 
 
-def build_evaluation_matrix(n, d, m, config, basis=None):
+def build_evaluation_matrix(n, d, m, config):
     """m x k matrix of the first m rows drawn from stream(seed, "rows")."""
-    if basis is None:
-        basis = enumerate_invariant_basis(d)
+    basis = enumerate_invariant_basis(d)
     rng = stream(config.seed, "rows")
     return list(islice(_evaluation_rows(n, d, rng, config, basis), m))
 
@@ -432,7 +431,8 @@ def _coefficient(entry):
     """A relation entry: a JSON integer or a decimal-integer string."""
     if type(entry) is int:
         return entry
-    if type(entry) is str and re.fullmatch(r"-?[0-9]+", entry):
+    # exactly -?[0-9]+; int() alone also reads "+2", "1_000", " 2", non-ASCII digits
+    if type(entry) is str and entry.isascii() and entry[entry[:1] == "-":].isdigit():
         return int(entry)
     raise ValueError("relation entries must be integers or decimal-integer strings")
 
@@ -443,11 +443,15 @@ class RelationSet:
 
     n: int
     d: int
-    basis: tuple              # class-id strings, coordinate order
     relations: tuple          # normalized integer tuples
     method: str
     seed: int
     entry_bound: int
+
+    @cached_property
+    def basis(self):
+        """Class-id strings of the degree-d invariant basis, coordinate order."""
+        return tuple(m.encode() for m in enumerate_invariant_basis(self.d))
 
     def to_json(self):
         obj = {
@@ -465,7 +469,8 @@ class RelationSet:
     def from_json(cls, text):
         """The relation set of a `to_json` file.  Only JSON integers (not
         booleans) are read as n, d, seed and entry_bound, and relations only
-        as lists of integers or decimal-integer strings; anything else is a
+        as lists of integers or decimal-integer strings, each as long as the
+        degree-d basis, which `basis` must be, in order; anything else is a
         ValueError."""
         try:
             obj = json.loads(text)
@@ -477,8 +482,8 @@ class RelationSet:
                 raise ValueError("'relations' must be a list of lists")
             if obj["method"] not in (METHOD_MONTECARLO, METHOD_SYMMETRIZER):
                 raise ValueError(f"unknown method {obj['method']!r}")
-            rs = cls(basis=tuple(obj["basis"]),
-                     relations=tuple(tuple(map(_coefficient, rel))
+            file_basis = obj["basis"]
+            rs = cls(relations=tuple(tuple(map(_coefficient, rel))
                                      for rel in relations),
                      method=obj["method"], **fields)
         except KeyError as exc:
@@ -488,6 +493,9 @@ class RelationSet:
         if rs.n < 1 or rs.d < 1:
             raise ValueError("malformed relation file: n and d must be positive, "
                              f"got n={rs.n}, d={rs.d}")
+        if file_basis != list(rs.basis):
+            raise ValueError("malformed relation file: basis is not the "
+                             f"degree-{rs.d} invariant basis")
         for i, rel in enumerate(rs.relations):
             if len(rel) != len(rs.basis):
                 raise ValueError(f"malformed relation file: relation {i} has "
@@ -519,7 +527,7 @@ def _draw_rows(n, d, config, basis):
     return rows, echelon
 
 
-def certified_kernel(n, d, config, basis=None):
+def certified_kernel(n, d, config):
     """Nullspace of the evaluation matrix on n x n samples, with every vector
     re-verified on fresh draws; escalates the entry bound (doubling,
     reseeded) on verification failure.
@@ -532,8 +540,7 @@ def certified_kernel(n, d, config, basis=None):
     yields extra vectors, which certification rejects, so stopping early
     can cost escalations but never changes the result.
     """
-    if basis is None:
-        basis = enumerate_invariant_basis(d)
+    basis = enumerate_invariant_basis(d)
     for attempt in range(MAX_ESCALATIONS + 1):
         cfg = replace(config,
                       seed=f"{config.seed}:n{n}:attempt{attempt}",
@@ -564,17 +571,15 @@ def find_relations(n, d, config):
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    basis = enumerate_invariant_basis(d)
-    relations, _ = _relations(n, d, config, basis)
+    relations, _ = _relations(n, d, config)
     return RelationSet(n=n, d=d,
-                       basis=tuple(m.encode() for m in basis),
                        relations=tuple(relations),
                        method=METHOD_MONTECARLO,
                        seed=config.seed,
                        entry_bound=config.entry_bound)
 
 
-def _relations(n, d, config, basis, kernel=None):
+def _relations(n, d, config, kernel=None):
     """(relation vectors of find_relations, the certified kernel on
     (n+1) x (n+1) samples, or None for d <= n + 1).
 
@@ -584,10 +589,10 @@ def _relations(n, d, config, basis, kernel=None):
     another cell.
     """
     if kernel is None:
-        kernel = certified_kernel(n, d, config, basis=basis)
+        kernel = certified_kernel(n, d, config)
     if d <= n + 1:
         return kernel, None
-    ambient = certified_kernel(n + 1, d, config, basis=basis)
+    ambient = certified_kernel(n + 1, d, config)
     # Every (n+1) relation holds on n x n matrices (embed x as diag(x, 0)),
     # so the ambient kernel lies in the n kernel.  Check it: the quotient
     # below is only right if it holds.
@@ -611,9 +616,9 @@ def rel_dimension_table(max_d, max_n, config):
     samples is cell (d, n+1)'s own kernel.
     """
     table = {}
-    # largest degree first, so a basis cap fails before any cell is computed
+    # largest degree first, so the basis cap fails before any cell is computed
     for d in range(max_d, 0, -1):
-        basis = enumerate_invariant_basis(d)
+        enumerate_invariant_basis(d)    # only the cap check
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
             if stable_range(d, n):
@@ -622,6 +627,6 @@ def rel_dimension_table(max_d, max_n, config):
                 continue
             cell_seed = stream(config.seed, "table", d, n).getrandbits(63)
             cell_cfg = replace(config, seed=cell_seed)
-            relations, carried = _relations(n, d, cell_cfg, basis, carried)
+            relations, carried = _relations(n, d, cell_cfg, carried)
             table[(d, n)] = len(relations)
     return table

@@ -285,7 +285,6 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
             raise KernelCertificationError(
                 "projected symmetrizer failed exact verification")
     return RelationSet(n=n, d=d,
-                       basis=tuple(m.encode() for m in basis),
                        relations=tuple(tuple(v) for v in selected),
                        method=METHOD_SYMMETRIZER,
                        seed=config.seed,

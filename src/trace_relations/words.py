@@ -54,7 +54,7 @@ def canonicalize_letters(letters):
     return best
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TraceWord:
     """One trace factor; letters are stored canonically."""
 
@@ -104,9 +104,6 @@ class InvariantMonomial:
 
     def encode(self):
         return "*".join(w.encode() for w in self.words)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import json
 import pathlib
+from itertools import islice
 
 import pytest
 
 from trace_relations import montecarlo, symmetrizer
 from trace_relations.cli import main
-from trace_relations.montecarlo import RelationSet, certification_trials
+from trace_relations.montecarlo import (RelationSet, SamplerConfig,
+                                        certification_trials, stream)
+from trace_relations.words import enumerate_invariant_basis
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -222,6 +225,31 @@ def test_verify_big_dependent_relation_fails(capsys, tmp_path):
     assert "rank 2 of 3" in err
 
 
+def test_verify_does_not_sample_from_the_file_seed(capsys, tmp_path):
+    # A vector fitted to the rows that verify would draw from the file's own
+    # seed: their nullspace is far larger than the true kernel, so it holds
+    # a vector that is no relation, and the file records that seed.
+    n, d, seed = 4, 6, 12345
+    cfg = SamplerConfig(seed=seed)
+    rows = list(islice(montecarlo._evaluation_rows(
+        n, d, stream(seed, "cli-verify"), cfg, enumerate_invariant_basis(d)),
+        certification_trials(cfg.entry_bound, d)))
+    fitted = montecarlo.nullspace(rows)
+    kernel = montecarlo.certified_kernel(n, d, cfg)
+    assert (len(fitted), len(kernel)) == (24, 9)
+    forged = next(v for v in fitted
+                  if montecarlo.rank_of(kernel + [v]) > len(kernel))
+    path = tmp_path / "forged.json"
+    path.write_text(RelationSet(n=n, d=d, relations=(forged,),
+                                method=montecarlo.METHOD_MONTECARLO, seed=seed,
+                                entry_bound=cfg.entry_bound).to_json())
+    rc, out, _ = run(capsys, "verify", "--input", str(path), "--seed", str(seed))
+    assert (rc, out) == (0, "relation 0: PASS\n")
+    rc, out, err = run(capsys, "verify", "--input", str(path))
+    assert (rc, out) == (4, "relation 0: FAIL\n")
+    assert "recorded seed" in err
+
+
 @pytest.mark.parametrize("drop", ["d", "relations", "entry_bound"])
 def test_verify_missing_key_is_usage_error(capsys, tmp_path, drop):
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
@@ -350,6 +378,12 @@ def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch)
     ("relations", "[[1.5, 0, 0, 0, 0]]"),  # a float entry
     ("relations", '[[" 2", "0", "-3", "0", "1"]]'),
     ("relations", '[["2", "0", "-3", "0", true]]'),
+    # int() reads each of these strings, but none is -?[0-9]+
+    ("relations", '[["+2", "0", "-3", "0", "1"]]'),
+    ("relations", '[["2", "0", "-3", "0", "1_000"]]'),
+    ("relations", '[["2", "0", "-3", "0", "\\u0663"]]'),  # Arabic-Indic 3
+    ("relations", '[["2", "0", "-3", "0", "\\uff12"]]'),  # fullwidth 2
+    ("relations", '[["2\\n", "0", "-3", "0", "1"]]'),
     ("relations", '{"0": ["2", "0", "-3", "0", "1"]}'),
     ("method", '"bareiss"'),
     ("method", "null"),
