@@ -398,10 +398,11 @@ def fresh_sample_verdicts(vectors, n, d, trials, rng, basis, config):
     `_annihilates` on their evaluation rows.
 
     All vectors share the samples; each one still meets `trials` independent
-    draws, so its Schwartz-Zippel bound is what it would be alone.
+    draws, so its Schwartz-Zippel bound is what it would be alone.  For
+    d <= n (stable range) no nonzero relation exists, and nothing is drawn.
     """
-    if not vectors:
-        return []
+    if not vectors or stable_range(d, n):
+        return [False] * len(vectors)
     rows = list(islice(_evaluation_rows(n, d, rng, config, basis), trials))
     return [any(v) and ok for v, ok in zip(vectors, _annihilates(rows, vectors))]
 
@@ -581,13 +582,16 @@ def find_relations(n, d, config):
 
 def _relations(n, d, config, kernel=None):
     """(relation vectors of find_relations, the certified kernel on
-    (n+1) x (n+1) samples, or None for d <= n + 1).
+    (n+1) x (n+1) samples, or None for d <= n + 1); ([], None) without a
+    computation in the stable range, d <= n.
 
     `kernel`, if given, stands in for the certified kernel on n x n
     samples.  A certified kernel is the unique reduced basis of its space,
     whatever the seed that drew it, so a caller may pass one certified for
     another cell.
     """
+    if stable_range(d, n):
+        return [], None
     if kernel is None:
         kernel = certified_kernel(n, d, config)
     if d <= n + 1:
@@ -621,10 +625,6 @@ def rel_dimension_table(max_d, max_n, config):
         enumerate_invariant_basis(d)    # only the cap check
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
-            if stable_range(d, n):
-                table[(d, n)] = 0
-                carried = None
-                continue
             cell_seed = stream(config.seed, "table", d, n).getrandbits(63)
             cell_cfg = replace(config, seed=cell_seed)
             relations, carried = _relations(n, d, cell_cfg, carried)

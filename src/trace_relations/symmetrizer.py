@@ -4,8 +4,10 @@ For the two-column shape with n+1 rows, each standard tableau T gives a
 symmetrizer y_T = (sum over row group) * (signed sum over column group) in
 the group algebra of S_{2(n+1)}.  Conjugating the canonical pair-matching by
 y_T and collecting matchings by necklace class projects y_T onto a
-coefficient vector over the degree-(n+1) invariant basis; the nonzero images
-span the relation space.
+coefficient vector over the degree-(n+1) invariant basis; the images span
+the relation space.  The engine keeps those that raise the rank of one GF(p)
+echelon, checks their count against the closed form and certifies them on one
+shared set of fresh samples.
 
 y_T is never expanded.  It factors into one (1 + (a b)) per row and, per
 column, the coset factors (1 - sum_{i<m} (c_i c_m)); conjugating a matching
@@ -23,9 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
-from .montecarlo import (METHOD_SYMMETRIZER, KernelCertificationError,
-                         RelationSet, SamplerConfig, certification_trials,
-                         normalize_vector, rank_of, stream, verify_relation)
+from .montecarlo import (FIRST_PRIME, METHOD_SYMMETRIZER,
+                         KernelCertificationError, RelationSet, SamplerConfig,
+                         _Echelon, certification_trials, fresh_sample_verdicts,
+                         normalize_vector, stream)
+# unused here, but benchmark/spans.py traces calls through these two names
+from .montecarlo import rank_of, verify_relation  # noqa: F401
 from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
                     enumerate_invariant_basis, tau)
 
@@ -254,8 +259,10 @@ def project_tableau(t):
 
 
 def symmetrizer_relation_space(n, config=None, allow_long=False):
-    """Stack the projected symmetrizers of the two-column shape and keep an
-    independent, individually verified subset of size rel_dim_formula(n)."""
+    """Keep, in tableau order, each projected symmetrizer of the two-column
+    shape that raises the GF(p) rank; a rise proves independence over Q.  A
+    prime that loses rank fails the rel_dim_formula(n) count check instead of
+    giving a short basis.  The kept vectors share one fresh-sample check."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEFAULT_SYMMETRIZER_N_CAP and not allow_long:
@@ -267,25 +274,18 @@ def symmetrizer_relation_space(n, config=None, allow_long=False):
     d = n + 1
     trials = certification_trials(config.entry_bound, d)
     basis = enumerate_invariant_basis(d)
-    shape = two_column_shape(n)
-    tableaux = enumerate_standard_tableaux(shape)
-    selected = []
-    for t in tableaux:
-        vec = project_tableau(t)
-        if rank_of(selected + [list(vec)]) > len(selected):
-            selected.append(list(vec))
+    echelon = _Echelon(len(basis), FIRST_PRIME)
+    tableaux = enumerate_standard_tableaux(two_column_shape(n))
+    selected = [vec for vec in map(project_tableau, tableaux) if echelon.add(vec)]
     expected = rel_dim_formula(n)
     if len(selected) != expected:
         raise KernelCertificationError(
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
-    vrng = stream(config.seed, "ys-verify", n)
-    for vec in selected:
-        if not verify_relation(tuple(vec), n, d, trials, vrng,
-                               basis=basis, config=config):
-            raise KernelCertificationError(
-                "projected symmetrizer failed exact verification")
-    return RelationSet(n=n, d=d,
-                       relations=tuple(tuple(v) for v in selected),
-                       method=METHOD_SYMMETRIZER,
-                       seed=config.seed,
+    if not all(fresh_sample_verdicts(selected, n, d, trials,
+                                     stream(config.seed, "ys-verify", n),
+                                     basis, config)):
+        raise KernelCertificationError(
+            "projected symmetrizer failed exact verification")
+    return RelationSet(n=n, d=d, relations=tuple(selected),
+                       method=METHOD_SYMMETRIZER, seed=config.seed,
                        entry_bound=config.entry_bound)

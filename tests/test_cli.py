@@ -355,7 +355,8 @@ def test_relations_entry_bound_too_small_for_degree(capsys, method):
 
 
 @pytest.mark.parametrize("patch", [("rel_dim_formula", lambda n: 99),
-                                   ("verify_relation", lambda *a, **k: False)],
+                                   ("fresh_sample_verdicts",
+                                    lambda vectors, *a: [False] * len(vectors))],
                          ids=["rank_mismatch", "failed_verification"])
 def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch):
     monkeypatch.setattr(symmetrizer, *patch)
@@ -364,6 +365,30 @@ def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch)
     assert rc == 4
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _no_sampling(*args):
+    raise AssertionError("sampled a matrix in the stable range")
+
+
+def test_relations_stable_range_draws_no_sample(capsys, monkeypatch):
+    # d <= n: the stable-range theorem answers, so a large n costs nothing
+    monkeypatch.setattr(montecarlo, "sample_matrix", _no_sampling)
+    rc, out, _ = run(capsys, "relations", "--n", "40", "--d", "3", "--seed", "7")
+    assert rc == 0
+    assert '"relations":[]' in out
+
+
+def test_verify_stable_range_fails_without_sampling(capsys, monkeypatch, tmp_path):
+    # no nonzero relation exists for d <= n, so a file claiming one fails
+    monkeypatch.setattr(montecarlo, "sample_matrix", _no_sampling)
+    path = tmp_path / "stable.json"
+    path.write_text(RelationSet(n=40, d=3, relations=((1, 0, 0, 0, 0),),
+                                method="montecarlo", seed=1,
+                                entry_bound=10).to_json())
+    rc, out, _ = run(capsys, "verify", "--input", str(path), "--seed", "1")
+    assert rc == 4
+    assert out == "relation 0: FAIL\n"
 
 
 @pytest.mark.parametrize("key, value", [

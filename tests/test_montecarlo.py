@@ -366,10 +366,15 @@ def test_find_relations_n2_d3():
 
 
 def test_find_relations_stable_range_empty():
-    # rel_dimension_table reports these cells as 0 without computing them
+    # find_relations and rel_dimension_table answer these cells by the
+    # stable-range theorem without sampling; the sampled kernel still checks
+    # the theorem here
     for n in range(1, 5):
         for d in range(1, n + 1):
             assert find_relations(n, d, CFG).relations == ()
+            k = len(enumerate_invariant_basis(d))
+            rows = build_evaluation_matrix(n, d, k + montecarlo.IDLE_ROWS, CFG)
+            assert nullspace(rows) == []
 
 
 def test_find_relations_n2_d4():
@@ -580,6 +585,7 @@ def test_certification_trials_refuse_degree_past_entry_range(b, d):
 
 def test_engines_run_the_derived_trial_count(monkeypatch):
     # B = 2, d = 3: (3/5)^41 <= 2^-30 < (3/5)^40, so 41 trials, not 20
+    from trace_relations import symmetrizer
     from trace_relations.symmetrizer import symmetrizer_relation_space
     cfg = SamplerConfig(seed=3, entry_bound=2)
     seen = []
@@ -590,13 +596,15 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
         return true_verdicts(vectors, n, d, trials, *rest)
 
     monkeypatch.setattr(montecarlo, "fresh_sample_verdicts", recording)
+    monkeypatch.setattr(symmetrizer, "fresh_sample_verdicts", recording)
     find_relations(2, 3, cfg)
     assert seen[0] == 41
     assert seen == [certification_trials(2 * 2 ** a, 3)
                     for a in range(len(seen))]
     seen.clear()
     symmetrizer_relation_space(2, cfg)
-    assert seen == [41, 41]
+    # both kept vectors are certified on one shared sample set
+    assert seen == [41]
 
 
 def test_verify_rejects_ambiguous_coefficient_variant():

@@ -1,5 +1,6 @@
 import pytest
 
+from trace_relations import montecarlo, symmetrizer
 from trace_relations.dimensions import rel_dim_formula
 from trace_relations.montecarlo import SamplerConfig, find_relations, rank_of, stream, verify_relation
 from trace_relations.symmetrizer import (
@@ -175,6 +176,24 @@ PINNED_RELATIONS = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrizer_relations_pinned(n):
     assert list(symmetrizer_relation_space(n, CFG).relations) == PINNED_RELATIONS[n]
+
+
+def test_symmetrizer_selects_without_nullspace_and_certifies_once(monkeypatch):
+    def no_nullspace(*args, **kwargs):
+        raise AssertionError("selection ran an exact nullspace")
+
+    calls = []
+    true_verdicts = symmetrizer.fresh_sample_verdicts
+
+    def recording(vectors, *rest):
+        calls.append(len(vectors))
+        return true_verdicts(vectors, *rest)
+
+    monkeypatch.setattr(montecarlo, "nullspace", no_nullspace)
+    monkeypatch.setattr(symmetrizer, "fresh_sample_verdicts", recording)
+    rs = symmetrizer_relation_space(3, CFG)
+    assert list(rs.relations) == PINNED_RELATIONS[3]
+    assert calls == [rel_dim_formula(3)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
