@@ -433,18 +433,38 @@ def test_quotient_matches_greedy_rank_loop(monkeypatch, n, d):
 
 def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys):
     # Tr(x^3) does not vanish on 1 x 1 matrices, so a 2 x 2 kernel holding
-    # it cannot lie in the 1 x 1 kernel
+    # it cannot lie in the 1 x 1 kernel; nor can a true 2 x 2 relation off by
+    # one in its last coordinate, since every invariant is x^3 on 1 x 1
+    true_kernel = montecarlo.certified_kernel
+    for spurious in (_unit, _near_miss):
+        def padded(m, *args, **kwargs):
+            kernel = true_kernel(m, *args, **kwargs)
+            return kernel + [spurious(kernel)] if m == 2 else kernel
+
+        monkeypatch.setattr(montecarlo, "certified_kernel", padded)
+        with pytest.raises(KernelCertificationError):
+            find_relations(1, 3, CFG)
+        assert main(["relations", "--n", "1", "--d", "3", "--seed", "1"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dims_rejects_kernel_one_up_outside_the_carried_kernel(monkeypatch, capsys):
+    # cell (4, 2) takes its 2 x 2 kernel from cell (4, 1); a 3 x 3 kernel
+    # holding basis invariant 0 alone (no relation) must fail there
+    calls = collections.Counter()
     true_kernel = montecarlo.certified_kernel
 
-    def padded(m, *args, **kwargs):
-        kernel = true_kernel(m, *args, **kwargs)
-        return kernel + [(1, 0, 0, 0, 0)] if m == 2 else kernel
+    def padded(m, d, *args, **kwargs):
+        calls[(m, d)] += 1
+        kernel = true_kernel(m, d, *args, **kwargs)
+        return kernel + [_unit(kernel)] if m == 3 else kernel
 
     monkeypatch.setattr(montecarlo, "certified_kernel", padded)
-    with pytest.raises(KernelCertificationError):
-        find_relations(1, 3, CFG)
-    assert main(["relations", "--n", "1", "--d", "3", "--seed", "1"]) == 4
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["dims", "--max-d", "4", "--max-n", "2", "--seed", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("error: kernel for n=3, d=4 does not lie in the kernel for n=2")
+    assert calls == {(1, 4): 1, (2, 4): 1, (3, 4): 1}
 
 
 def test_verify_relation():
