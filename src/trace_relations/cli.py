@@ -16,7 +16,7 @@ from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          certification_trials, find_relations,
                          fresh_sample_verdicts, rank_of, rel_dimension_table,
                          stream)
-from .symmetrizer import DEFAULT_SYMMETRIZER_N_CAP, symmetrizer_relation_space
+from .symmetrizer import symmetrizer_relation_space
 from .words import EnumerationCapError, enumerate_invariant_basis
 
 EXIT_OK = 0
@@ -25,19 +25,17 @@ EXIT_CAP = 3
 EXIT_CERTIFICATION = 4
 
 
-def _add_sampler_flags(p):
+def _add_seed_flag(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; a random one is drawn and reported if omitted")
-    p.add_argument("--entry-bound", type=int, default=10,
-                   help="sample entries are uniform integers in [-B, B]")
 
 
-def _config_from(args, entry_bound):
+def _config_from(args, **fields):
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(63)
         print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
-    return SamplerConfig(seed=seed, entry_bound=entry_bound)
+    return SamplerConfig(seed=seed, **fields)
 
 
 def _emit(text, output):
@@ -61,13 +59,13 @@ def cmd_enumerate(args):
 
 
 def cmd_relations(args):
-    config = _config_from(args, args.entry_bound)
+    config = _config_from(args)
     t0 = time.perf_counter()
     if args.method == METHOD_SYMMETRIZER:
         if args.d != args.n + 1:
             print("error: --method symmetrizer requires d = n + 1", file=sys.stderr)
             return EXIT_USAGE
-        rs = symmetrizer_relation_space(args.n, config, allow_long=args.allow_long)
+        rs = symmetrizer_relation_space(args.n, config)
     else:
         rs = find_relations(args.n, args.d, config)
     elapsed = time.perf_counter() - t0
@@ -82,7 +80,7 @@ def cmd_dims(args):
     if args.max_d < 1 or args.max_n < 1:
         print("error: --max-d and --max-n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    config = _config_from(args, args.entry_bound)
+    config = _config_from(args)
     table = rel_dimension_table(args.max_d, args.max_n, config)
     ns = range(1, args.max_n + 1)
     rows = [["d\\n", *map(str, ns)]]
@@ -102,7 +100,7 @@ def cmd_verify(args):
     with open(args.input) as fh:
         rs = RelationSet.from_json(fh.read())
     # a fresh seed unless --seed is given: a file must not pick its own samples
-    config = _config_from(args, rs.entry_bound)
+    config = _config_from(args, entry_bound=rs.entry_bound)
     if not rs.relations:
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")
@@ -146,11 +144,8 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--method", choices=[METHOD_MONTECARLO, METHOD_SYMMETRIZER],
                    default=METHOD_MONTECARLO)
-    p.add_argument("--allow-long", action="store_true",
-                   help="permit long-running symmetrizer sizes (n > "
-                        f"{DEFAULT_SYMMETRIZER_N_CAP})")
     p.add_argument("--output", default=None)
-    _add_sampler_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("dims", help="tabulate relation-space dimensions")
@@ -158,13 +153,12 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.add_argument("--output", default=None)
-    _add_sampler_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="re-verify a relation file on fresh samples")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed; a random one is drawn and reported if omitted")
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -34,7 +34,7 @@ from .montecarlo import rank_of, verify_relation  # noqa: F401
 from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
                     enumerate_invariant_basis, tau)
 
-DEFAULT_SYMMETRIZER_N_CAP = 4   # n=5: 132 tableaux over 10,395 matchings, seconds
+SYMMETRIZER_N_CAP = 6   # n=6: 429 tableaux over 135,135 matchings; 60 s, 51 MB on 2 vCPUs
 
 
 def check_partition(shape):
@@ -258,17 +258,18 @@ def project_tableau(t):
     return _class_vector(vec.items(), d)
 
 
-def symmetrizer_relation_space(n, config=None, allow_long=False):
+def symmetrizer_relation_space(n, config=None):
     """Keep, in tableau order, each projected symmetrizer of the two-column
     shape that raises the GF(p) rank; a rise proves independence over Q.  A
     prime that loses rank fails the rel_dim_formula(n) count check instead of
-    giving a short basis.  The kept vectors share one fresh-sample check."""
+    giving a short basis.  The kept vectors share one fresh-sample check.
+    n > SYMMETRIZER_N_CAP raises EnumerationCapError before any tableau is
+    enumerated."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > DEFAULT_SYMMETRIZER_N_CAP and not allow_long:
+    if n > SYMMETRIZER_N_CAP:
         raise EnumerationCapError(
-            f"symmetrizer run for n={n} is long-running; pass --allow-long "
-            "(allow_long=True)")
+            f"symmetrizer run for n={n} exceeds cap n <= {SYMMETRIZER_N_CAP}")
     if config is None:
         config = SamplerConfig(seed=0)
     d = n + 1

@@ -15,7 +15,6 @@ index of tensor factor i.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,13 +23,11 @@ XT = 1  # letter for a factor x^T
 
 _LETTER_CHARS = {X: "x", XT: "t"}
 
-DEFAULT_BASIS_CAP = 14       # direct word-multiset generation stays cheap
-
-_CAP_ENV = "TRACE_RELATIONS_CAP"
+BASIS_CAP = 14       # direct word-multiset generation stays cheap
 
 
 class EnumerationCapError(Exception):
-    """Requested enumeration exceeds the configured resource cap."""
+    """Requested enumeration exceeds a fixed resource cap."""
 
 
 def canonicalize_letters(letters):
@@ -184,11 +181,9 @@ def enumerate_invariant_basis(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    cap = int(os.environ.get(_CAP_ENV, DEFAULT_BASIS_CAP))
-    if d > cap:
+    if d > BASIS_CAP:
         raise EnumerationCapError(
-            f"basis enumeration for d={d} exceeds cap {cap}; "
-            f"set {_CAP_ENV} to override")
+            f"basis enumeration for d={d} exceeds cap d <= {BASIS_CAP}")
     return _invariant_basis(d)
 
 

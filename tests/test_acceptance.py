@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The optional long n=5
-symmetrizer check is enabled by setting TRACE_RELATIONS_LONG=1.
+and n=6 symmetrizer checks are enabled by setting TRACE_RELATIONS_LONG=1.
 """
 
 import json
@@ -122,13 +122,28 @@ def test_criterion_4_long_n4(capsys):
         mc = find_relations(5, 6, CFG)
         mc_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        ys = symmetrizer_relation_space(5, CFG, allow_long=True)
+        ys = symmetrizer_relation_space(5, CFG)
         ys_time = time.perf_counter() - t0
         r = rel_dim_formula(5)
         ok = ok and len(mc.relations) == len(ys.relations) == r
         ok = ok and rank_of([list(v) for v in mc.relations + ys.relations]) == r
         ok = ok and mc_time < ys_time
         report(f"4L n=5 long run (mc {mc_time:.1f}s, ys {ys_time:.1f}s)", ok)
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="long n=6 symmetrizer run; set TRACE_RELATIONS_LONG=1")
+def test_criterion_4_long_n6(capsys):
+    with capsys.disabled():
+        # n = 6 is the symmetrizer cap: 429 tableaux over 135,135 matchings
+        t0 = time.perf_counter()
+        ys = symmetrizer_relation_space(6, CFG)
+        ys_time = time.perf_counter() - t0
+        mc = find_relations(6, 7, CFG)
+        r = rel_dim_formula(6)
+        ok = len(ys.relations) == r == 4
+        ok = ok and rank_of([list(v) for v in mc.relations + ys.relations]) == r
+        report(f"4L n=6 symmetrizer at the cap ({ys_time:.1f}s)", ok)
 
 
 def test_criterion_5_counting_identities(capsys):

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from trace_relations import montecarlo, symmetrizer
+from trace_relations import montecarlo, symmetrizer, words
 from trace_relations.cli import main
 from trace_relations.montecarlo import (RelationSet, SamplerConfig,
                                         certification_trials, stream)
@@ -296,7 +296,7 @@ def test_dims_hits_the_basis_cap_before_any_cell(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("certified_kernel ran below the capped degree")
 
-    monkeypatch.setenv("TRACE_RELATIONS_CAP", "3")
+    monkeypatch.setattr(words, "BASIS_CAP", 3)
     monkeypatch.setattr(montecarlo, "certified_kernel", never)
     rc, out, err = run(capsys, "dims", "--max-d", "4", "--max-n", "2", "--seed", "1")
     assert rc == 3
@@ -330,25 +330,48 @@ def test_removed_sampler_flags_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-def test_bench_is_usage_error():
+@pytest.mark.parametrize("argv", [
+    ["bench", "--n", "2", "--d", "3"],
+    ["relations", "--n", "2", "--d", "3", "--entry-bound", "5"],
+    ["dims", "--max-d", "2", "--max-n", "2", "--entry-bound", "5"],
+    ["relations", "--n", "5", "--d", "6", "--method", "symmetrizer",
+     "--allow-long"]],
+    ids=["bench", "relations-entry-bound", "dims-entry-bound",
+         "relations-allow-long"])
+def test_bench_is_usage_error(argv):
+    # no bench subcommand; the entry bound starts at 10 and both caps are
+    # fixed, so no flag sets them
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--n", "2", "--d", "3", "--seed", "1"])
+        main([*argv, "--seed", "1"])
     assert exc.value.code == 2
 
 
-def test_relations_symmetrizer_long_run_needs_allow_long(capsys):
-    rc, out, err = run(capsys, "relations", "--n", "5", "--d", "6",
+def test_relations_symmetrizer_refuses_n_above_cap(capsys, monkeypatch):
+    def never(shape):
+        raise AssertionError("tableaux enumerated above the symmetrizer cap")
+
+    monkeypatch.setattr(symmetrizer, "enumerate_standard_tableaux", never)
+    rc, out, err = run(capsys, "relations", "--n", "7", "--d", "8",
                        "--method", "symmetrizer", "--seed", "1")
     assert rc == 3
     assert out == ""
-    assert "--allow-long" in err
+    assert err.startswith("error: symmetrizer run for n=7 exceeds cap")
 
 
 @pytest.mark.parametrize("method", ["montecarlo", "symmetrizer"])
-def test_relations_entry_bound_too_small_for_degree(capsys, method):
+def test_relations_entry_bound_too_small_for_degree(capsys, tmp_path, method):
     # 2B + 1 = 3 <= d: no Schwartz-Zippel bound holds for any trial count
-    rc, out, err = run(capsys, "relations", "--n", "2", "--d", "3",
-                       "--entry-bound", "1", "--method", method, "--seed", "1")
+    cfg = SamplerConfig(seed=1, entry_bound=1)
+    with pytest.raises(ValueError, match="^degree 3 needs an entry bound"):
+        if method == "montecarlo":
+            montecarlo.find_relations(2, 3, cfg)
+        else:
+            symmetrizer.symmetrizer_relation_space(2, cfg)
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj.update(entry_bound=1, method=method, relations=obj["relations"][:1])
+    path = tmp_path / "b1.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(path), "--seed", "1")
     assert rc == 2
     assert out == ""
     assert err.startswith("error: degree 3 needs an entry bound")

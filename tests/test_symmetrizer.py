@@ -215,6 +215,10 @@ def test_symmetrizer_projections_land_in_mc_span():
             assert rank_of(span + [list(vec)]) == 2
 
 
-def test_long_run_gate():
+def test_long_run_gate(monkeypatch):
+    def never(shape):
+        raise AssertionError("tableaux enumerated above the symmetrizer cap")
+
+    monkeypatch.setattr(symmetrizer, "enumerate_standard_tableaux", never)
     with pytest.raises(EnumerationCapError):
-        symmetrizer_relation_space(5, CFG)
+        symmetrizer_relation_space(7, CFG)

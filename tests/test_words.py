@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from trace_relations import words
 from trace_relations.words import (
     X, XT, EnumerationCapError, FpfInvolution, InvariantMonomial, TraceWord,
     canonicalize_letters, class_of_involution, enumerate_invariant_basis,
@@ -104,10 +105,13 @@ def test_basis_sizes(d, k):
 
 
 def test_basis_cap_env(monkeypatch):
+    # the cap is a constant; no environment variable lowers it
     monkeypatch.setenv("TRACE_RELATIONS_CAP", "2")
+    assert len(enumerate_invariant_basis(3)) == 5
+    monkeypatch.setattr(words, "BASIS_CAP", 2)
     with pytest.raises(EnumerationCapError):
         enumerate_invariant_basis(3)
-    monkeypatch.setenv("TRACE_RELATIONS_CAP", "3")
+    monkeypatch.setattr(words, "BASIS_CAP", 3)
     assert len(enumerate_invariant_basis(3)) == 5
 
 
@@ -116,7 +120,7 @@ def test_basis_is_one_cached_tuple_per_degree(monkeypatch):
     assert isinstance(basis, tuple)
     assert enumerate_invariant_basis(4) is basis
     # the cap is checked before the cache, so a cached degree still obeys it
-    monkeypatch.setenv("TRACE_RELATIONS_CAP", "3")
+    monkeypatch.setattr(words, "BASIS_CAP", 3)
     with pytest.raises(EnumerationCapError):
         enumerate_invariant_basis(4)
 
