@@ -97,8 +97,12 @@ def cmd_dims(args):
 
 
 def cmd_verify(args):
-    with open(args.input) as fh:
-        rs = RelationSet.from_json(fh.read())
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed relation file: {exc}") from exc
+    rs = RelationSet.from_json(text)
     # a fresh seed unless --seed is given: a file must not pick its own samples
     config = _config_from(args, entry_bound=rs.entry_bound)
     if not rs.relations:

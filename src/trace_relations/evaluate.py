@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import mul as _mul
 
-from .words import X, XT, InvariantMonomial
+from .words import X, XT, InvariantMonomial, _set, _Value
 
 
-@dataclass(frozen=True)
-class MatrixSample:
-    """Square n x n matrix."""
+class MatrixSample(_Value):
+    """Square n x n matrix; entries are its n rows, each a tuple of scalars."""
 
-    n: int
-    entries: tuple            # n rows, each a tuple of scalars
+    __slots__ = _fields = ("n", "entries")
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))
-        object.__setattr__(self, "entries", rows)
-        if self.n < 1:
+    def __init__(self, n, entries):
+        rows = tuple(map(tuple, entries))
+        _set(self, "n", n)
+        _set(self, "entries", rows)
+        if n < 1:
             raise ValueError("n must be positive")
-        if len(rows) != self.n or {*map(len, rows)} != {self.n}:
-            raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
+        if len(rows) != n or {*map(len, rows)} != {n}:
+            raise ValueError(f"entries must form an {n}x{n} matrix")
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +148,16 @@ class _Plan:
         return ns.pop("make")
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    degrees: frozenset
-    products: int           # matrix products per row
-    make: object            # make(mul, trace_mul, diag) -> row(x, xt)
+class _Compiled(_Value):
+    """A basis's monomial degrees (a frozenset), its matrix products per
+    row, and make(mul, trace_mul, diag) -> row(x, xt)."""
+
+    __slots__ = _fields = ("degrees", "products", "make")
+
+    def __init__(self, degrees, products, make):
+        _set(self, "degrees", degrees)
+        _set(self, "products", products)
+        _set(self, "make", make)
 
 
 @lru_cache(maxsize=256)

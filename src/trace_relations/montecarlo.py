@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, repeat
 from math import ceil, gcd, isqrt, lcm, log2
@@ -21,7 +20,7 @@ from .dimensions import stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
 from .evaluate import MatrixSample, evaluate_basis_row, evaluate_monomial  # noqa: F401
-from .words import enumerate_invariant_basis
+from .words import _set, _Value, enumerate_invariant_basis
 
 METHOD_MONTECARLO = "montecarlo"
 METHOD_SYMMETRIZER = "symmetrizer"
@@ -31,13 +30,13 @@ class KernelCertificationError(Exception):
     """A computed relation basis failed certification (CLI exit 4)."""
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int
-    entry_bound: int = 10
+class SamplerConfig(_Value):
+    __slots__ = _fields = ("seed", "entry_bound")
 
-    def __post_init__(self):
-        if self.entry_bound < 1:
+    def __init__(self, seed, entry_bound=10):
+        _set(self, "seed", seed)
+        _set(self, "entry_bound", entry_bound)
+        if entry_bound < 1:
             raise ValueError("entry_bound must be >= 1")
 
 
@@ -438,16 +437,19 @@ def _coefficient(entry):
     raise ValueError("relation entries must be integers or decimal-integer strings")
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Certified relation basis plus the configuration that produced it."""
+class RelationSet(_Value):
+    """Certified relation basis plus the configuration that produced it.
 
-    n: int
-    d: int
-    relations: tuple          # normalized integer tuples
-    method: str
-    seed: int
-    entry_bound: int
+    relations is a tuple of normalized integer tuples.  No __slots__: the
+    cached `basis` lives in the instance __dict__.
+    """
+
+    _fields = ("n", "d", "relations", "method", "seed", "entry_bound")
+
+    def __init__(self, n, d, relations, method, seed, entry_bound):
+        for name, value in zip(self._fields,
+                               (n, d, relations, method, seed, entry_bound)):
+            _set(self, name, value)
 
     @cached_property
     def basis(self):
@@ -475,6 +477,8 @@ class RelationSet:
         ValueError."""
         try:
             obj = json.loads(text)
+            if type(obj) is not dict:
+                raise ValueError("top-level value must be a JSON object")
             fields = {key: _json_int(obj[key], key)
                       for key in ("n", "d", "seed", "entry_bound")}
             relations = obj["relations"]
@@ -489,7 +493,8 @@ class RelationSet:
                      method=obj["method"], **fields)
         except KeyError as exc:
             raise ValueError(f"malformed relation file: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
+            # RecursionError: json.loads on too deeply nested arrays or objects
             raise ValueError(f"malformed relation file: {exc}") from exc
         if rs.n < 1 or rs.d < 1:
             raise ValueError("malformed relation file: n and d must be positive, "
@@ -543,9 +548,8 @@ def certified_kernel(n, d, config):
     """
     basis = enumerate_invariant_basis(d)
     for attempt in range(MAX_ESCALATIONS + 1):
-        cfg = replace(config,
-                      seed=f"{config.seed}:n{n}:attempt{attempt}",
-                      entry_bound=config.entry_bound * 2 ** attempt)
+        cfg = SamplerConfig(seed=f"{config.seed}:n{n}:attempt{attempt}",
+                            entry_bound=config.entry_bound * 2 ** attempt)
         trials = certification_trials(cfg.entry_bound, d)
         rows, echelon = _draw_rows(n, d, cfg, basis)
         vectors = nullspace(rows, echelon)
@@ -626,7 +630,7 @@ def rel_dimension_table(max_d, max_n, config):
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
             cell_seed = stream(config.seed, "table", d, n).getrandbits(63)
-            cell_cfg = replace(config, seed=cell_seed)
+            cell_cfg = SamplerConfig(seed=cell_seed, entry_bound=config.entry_bound)
             relations, carried = _relations(n, d, cell_cfg, carried)
             table[(d, n)] = len(relations)
     return table

@@ -21,7 +21,6 @@ the expanded route as the exact oracle for small n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
@@ -31,8 +30,8 @@ from .montecarlo import (FIRST_PRIME, METHOD_SYMMETRIZER,
                          normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
 from .montecarlo import rank_of, verify_relation  # noqa: F401
-from .words import (EnumerationCapError, FpfInvolution, class_of_involution,
-                    enumerate_invariant_basis, tau)
+from .words import (EnumerationCapError, FpfInvolution, _set, _Value,
+                    class_of_involution, enumerate_invariant_basis, tau)
 
 SYMMETRIZER_N_CAP = 6   # n=6: 429 tableaux over 135,135 matchings; 60 s, 51 MB on 2 vCPUs
 
@@ -53,18 +52,16 @@ def two_column_shape(n):
     return (2,) * (n + 1)
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(_Value):
     """Rows of 0-indexed entries, strictly increasing along rows and columns."""
 
-    shape: tuple
-    rows: tuple
+    __slots__ = _fields = ("shape", "rows")
 
-    def __post_init__(self):
-        shape = check_partition(self.shape)
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, shape, rows):
+        shape = check_partition(shape)
+        rows = tuple(tuple(r) for r in rows)
+        _set(self, "shape", shape)
+        _set(self, "rows", rows)
         size = sum(shape)
         if tuple(len(r) for r in rows) != shape:
             raise ValueError("row lengths do not match shape")

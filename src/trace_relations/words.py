@@ -15,7 +15,6 @@ index of tensor factor i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 X = 0   # letter for a factor x
@@ -51,14 +50,59 @@ def canonicalize_letters(letters):
     return best
 
 
-@dataclass(frozen=True)
-class TraceWord:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in `_fields` and sets each once in its
+    __init__ with `_set`.  Instances are equal when they are of the same
+    class with equal fields, and equal instances hash equal.  Assigning or
+    deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class TraceWord(_Value):
     """One trace factor; letters are stored canonically."""
 
-    letters: tuple
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", canonicalize_letters(self.letters))
+    def __init__(self, letters):
+        _set(self, "letters", canonicalize_letters(letters))
+
+    # Explicit single-field __eq__ and __hash__: both run on hot paths.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -73,21 +117,26 @@ def _word_key(word):
     return (-len(word), word.letters)
 
 
-@dataclass(frozen=True)
-class InvariantMonomial:
+class InvariantMonomial(_Value):
     """Multiset of canonical trace words; one necklace class."""
 
-    words: tuple
+    __slots__ = ("words", "_hash")
+    _fields = ("words",)
 
-    def __post_init__(self):
+    def __init__(self, words):
         # A TraceWord is canonical already; anything else is canonicalised.
         ws = tuple(sorted((w if isinstance(w, TraceWord) else TraceWord(w)
-                           for w in self.words), key=_word_key))
+                           for w in words), key=_word_key))
         if not ws:
             raise ValueError("invariant monomial needs at least one word")
-        object.__setattr__(self, "words", ws)
+        _set(self, "words", ws)
         # Bases are hashed as cache keys once per evaluated row; hash once.
-        object.__setattr__(self, "_hash", hash(ws))
+        _set(self, "_hash", hash(ws))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.words == other.words
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -103,20 +152,27 @@ class InvariantMonomial:
         return "*".join(w.encode() for w in self.words)
 
 
-@dataclass(frozen=True)
-class FpfInvolution:
+class FpfInvolution(_Value):
     """Fixed-point-free involution on {0, ..., 2d-1}, i.e. a perfect matching."""
 
-    pairing: tuple
+    __slots__ = _fields = ("pairing",)
 
-    def __post_init__(self):
-        p = tuple(self.pairing)
-        object.__setattr__(self, "pairing", p)
+    def __init__(self, pairing):
+        p = tuple(pairing)
+        _set(self, "pairing", p)
         if len(p) % 2 != 0 or not p:
             raise ValueError("pairing must cover an even, positive number of points")
         for a, b in enumerate(p):
             if not 0 <= b < len(p) or b == a or p[b] != a:
                 raise ValueError(f"not a fixed-point-free involution: {p!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairing == other.pairing
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.pairing)
 
     @property
     def degree(self):

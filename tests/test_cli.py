@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -262,14 +264,32 @@ def test_verify_missing_key_is_usage_error(capsys, tmp_path, drop):
     assert err.startswith("error: ") and repr(drop) in err
 
 
-@pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"n": "two"}'])
-def test_verify_malformed_file_is_usage_error(capsys, tmp_path, text):
+@pytest.mark.parametrize("data", [b"not json", b"[1, 2]", b'{"n": "two"}',
+                                  b'"str"', b"\xff\xfe{}",
+                                  pytest.param(b"[" * 100_000, id="deep")])
+def test_verify_malformed_file_is_usage_error(capsys, tmp_path, data):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(data)
     rc, out, err = run(capsys, "verify", "--input", str(bad))
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: malformed relation file")
+    assert err.startswith("error: malformed relation file:")
+    if data in (b"[1, 2]", b'"str"'):
+        assert "top-level value must be a JSON object" in err
+
+
+def test_import_loads_no_unused_standard_modules():
+    # -S: no site hooks (.pth files) import anything on the package's behalf
+    src = DATA.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import trace_relations.cli; "
+            "print(*sorted(sys.modules))")
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                                capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {f"trace_relations.{name}" for name in
+            ("cli", "words", "evaluate", "montecarlo", "symmetrizer",
+             "dimensions")} <= loaded
 
 
 def test_dims_text(capsys):

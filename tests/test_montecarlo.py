@@ -3,7 +3,6 @@ import itertools
 import math
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -537,7 +536,8 @@ def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, 
     # the rows are a prefix of the k + IDLE_ROWS rows of the evaluation matrix
     seen = _kernel_rows(monkeypatch)
     k = len(enumerate_invariant_basis(d))
-    first = replace(CFG, seed=f"{CFG.seed}:n{n}:attempt0")
+    first = SamplerConfig(seed=f"{CFG.seed}:n{n}:attempt0",
+                          entry_bound=CFG.entry_bound)
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
         seen.clear()
@@ -673,6 +673,7 @@ def test_rel_dimension_table_matches_unshared_cells(seed):
     cfg = SamplerConfig(seed=seed)
     table = rel_dimension_table(7, 3, cfg)
     for (d, n), count in table.items():
-        cell_cfg = replace(cfg, seed=stream(seed, "table", d, n).getrandbits(63))
+        cell_cfg = SamplerConfig(seed=stream(seed, "table", d, n).getrandbits(63),
+                                 entry_bound=cfg.entry_bound)
         assert count == (0 if d <= n else
                          len(find_relations(n, d, cell_cfg).relations))
