@@ -111,8 +111,7 @@ def cmd_verify(args):
         return EXIT_OK
     trials = certification_trials(rs.entry_bound, rs.d)
     verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d, trials,
-                                     stream(config.seed, "cli-verify"),
-                                     enumerate_invariant_basis(rs.d), config)
+                                     stream(config.seed, "cli-verify"), config)
     for i, ok in enumerate(verdicts):
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
     failures = verdicts.count(False)

@@ -6,7 +6,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul as _mul
 
-from .words import X, XT, InvariantMonomial, _set, _Value
+from .words import (X, XT, InvariantMonomial, _set, _Value,
+                    enumerate_invariant_basis)
 
 
 class MatrixSample(_Value):
@@ -149,20 +150,19 @@ class _Plan:
 
 
 class _Compiled(_Value):
-    """A basis's monomial degrees (a frozenset), its matrix products per
-    row, and make(mul, trace_mul, diag) -> row(x, xt)."""
+    """A degree's matrix products per row, and
+    make(mul, trace_mul, diag) -> row(x, xt)."""
 
-    __slots__ = _fields = ("degrees", "products", "make")
+    __slots__ = _fields = ("products", "make")
 
-    def __init__(self, degrees, products, make):
-        _set(self, "degrees", degrees)
+    def __init__(self, products, make):
         _set(self, "products", products)
         _set(self, "make", make)
 
 
-@lru_cache(maxsize=256)
-def _compile_basis(basis):
-    """The row function of a basis, compiled once for every n.
+@lru_cache(maxsize=None)
+def _compile_basis(d):
+    """The row function of the degree-d basis, compiled once for every n.
 
     Each distinct word is traced once, through the split of its cheapest
     rotation or reflection (`_Plan.split`).  Then each monomial, its words
@@ -170,6 +170,7 @@ def _compile_basis(basis):
     monomials that share a prefix, as most share their short words, share
     its product.
     """
+    basis = enumerate_invariant_basis(d)
     plan = _Plan()
     traces = {}
     for m in basis:
@@ -189,32 +190,31 @@ def _compile_basis(basis):
                 plan.lines.append(f"{products[key]} = {value} * {key[1]}")
             value = products[key]
         values.append(value)
-    return _Compiled(frozenset(m.degree for m in basis), plan.products,
-                     plan.compile(values))
+    return _Compiled(plan.products, plan.compile(values))
 
 
 @lru_cache(maxsize=256)
-def _row_function(basis, n):
-    compiled = _compile_basis(basis)
-    return compiled.degrees, compiled.make(*_kernels(n), n + 1)
+def _row_function(d, n):
+    return _compile_basis(d).make(*_kernels(n), n + 1)
 
 
-def evaluate_basis_row(d, x, basis):
-    """Values of every basis invariant on one sample, in basis order.
+def evaluate_basis_row(d, x):
+    """Values of every degree-d basis invariant on one sample, in basis
+    order.
 
-    Runs the basis's straight-line row function (`_compile_basis`) bound to
-    the per-n unrolled kernels of `_kernels`, on flat row-major tuples.
+    Runs the degree's straight-line row function (`_compile_basis`) bound
+    to the per-n unrolled kernels of `_kernels`, on flat row-major tuples.
     Arithmetic is that of the entries, so exact entries give exact values.
     """
-    degrees, row = _row_function(tuple(basis), x.n)
-    if degrees - {d}:
-        raise ValueError("basis degree mismatch")
-    return row(tuple(chain.from_iterable(x.entries)),
-               tuple(chain.from_iterable(zip(*x.entries))))
+    return _row_function(d, x.n)(tuple(chain.from_iterable(x.entries)),
+                                 tuple(chain.from_iterable(zip(*x.entries))))
 
 
 def evaluate_monomial(monomial, x):
-    return evaluate_basis_row(monomial.degree, x, (monomial,))[0]
+    """Value of one basis invariant on one sample: its coordinate of the
+    degree's row, so the degree must be within BASIS_CAP."""
+    d = monomial.degree
+    return evaluate_basis_row(d, x)[enumerate_invariant_basis(d).index(monomial)]
 
 
 def evaluate_word(word, x):

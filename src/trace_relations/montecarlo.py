@@ -66,22 +66,22 @@ def sample_matrix(n, rng, config):
     return MatrixSample(n, zip(*[iter(entries)] * n))
 
 
-def _evaluation_rows(n, d, rng, config, basis):
-    """The basis invariants on each successive sample drawn from `rng`.
+def _evaluation_rows(n, d, rng, config):
+    """The degree-d basis invariants on each successive sample drawn from
+    `rng`.
 
     Zero matrices satisfy every relation vacuously, so they are skipped.
     """
     while True:
         x = sample_matrix(n, rng, config)
         if any(map(any, x.entries)):
-            yield evaluate_basis_row(d, x, basis)
+            yield evaluate_basis_row(d, x)
 
 
 def build_evaluation_matrix(n, d, m, config):
     """m x k matrix of the first m rows drawn from stream(seed, "rows")."""
-    basis = enumerate_invariant_basis(d)
     rng = stream(config.seed, "rows")
-    return list(islice(_evaluation_rows(n, d, rng, config, basis), m))
+    return list(islice(_evaluation_rows(n, d, rng, config), m))
 
 
 def normalize_vector(vec):
@@ -391,7 +391,7 @@ def certification_trials(entry_bound, d):
     return max(20, ceil(CERTIFICATE_BITS / log2(q / d)))
 
 
-def fresh_sample_verdicts(vectors, n, d, trials, rng, basis, config):
+def fresh_sample_verdicts(vectors, n, d, trials, rng, config):
     """For each vector, whether it is nonzero and annihilates each of
     `trials` fresh samples drawn from `rng`, checked exactly by
     `_annihilates` on their evaluation rows.
@@ -402,22 +402,20 @@ def fresh_sample_verdicts(vectors, n, d, trials, rng, basis, config):
     """
     if not vectors or stable_range(d, n):
         return [False] * len(vectors)
-    rows = list(islice(_evaluation_rows(n, d, rng, config, basis), trials))
+    rows = list(islice(_evaluation_rows(n, d, rng, config), trials))
     return [any(v) and ok for v, ok in zip(vectors, _annihilates(rows, vectors))]
 
 
-def verify_relation(coeffs, n, d, trials, rng, basis=None, config=None):
+def verify_relation(coeffs, n, d, trials, rng, config=None):
     """True iff the coefficient vector is nonzero and annihilates `trials`
     fresh exact samples."""
-    if basis is None:
-        basis = enumerate_invariant_basis(d)
-    if len(coeffs) != len(basis):
+    if len(coeffs) != len(enumerate_invariant_basis(d)):
         raise ValueError("coefficient length does not match basis size")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if config is None:
         config = SamplerConfig(seed=0)
-    [ok] = fresh_sample_verdicts([coeffs], n, d, trials, rng, basis, config)
+    [ok] = fresh_sample_verdicts([coeffs], n, d, trials, rng, config)
     return ok
 
 
@@ -513,19 +511,19 @@ MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, config, basis):
+def _draw_rows(n, d, config):
     """A prefix of build_evaluation_matrix(n, d, k + IDLE_ROWS, config) and
     its echelon form over GF(FIRST_PRIME).
 
     Rows are drawn until the rank reaches k, or IDLE_ROWS consecutive rows
     leave it unchanged, or k + IDLE_ROWS rows are drawn.
     """
-    k = len(basis)
+    k = len(enumerate_invariant_basis(d))
     echelon = _Echelon(k, FIRST_PRIME)
     rows = []
     idle = 0
     rng = stream(config.seed, "rows")
-    for row in islice(_evaluation_rows(n, d, rng, config, basis), k + IDLE_ROWS):
+    for row in islice(_evaluation_rows(n, d, rng, config), k + IDLE_ROWS):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
         if echelon.rank == k or idle == IDLE_ROWS:
@@ -546,15 +544,14 @@ def certified_kernel(n, d, config):
     yields extra vectors, which certification rejects, so stopping early
     can cost escalations but never changes the result.
     """
-    basis = enumerate_invariant_basis(d)
     for attempt in range(MAX_ESCALATIONS + 1):
         cfg = SamplerConfig(seed=f"{config.seed}:n{n}:attempt{attempt}",
                             entry_bound=config.entry_bound * 2 ** attempt)
         trials = certification_trials(cfg.entry_bound, d)
-        rows, echelon = _draw_rows(n, d, cfg, basis)
+        rows, echelon = _draw_rows(n, d, cfg)
         vectors = nullspace(rows, echelon)
         vrng = stream(cfg.seed, "verify")
-        if all(fresh_sample_verdicts(vectors, n, d, trials, vrng, basis, cfg)):
+        if all(fresh_sample_verdicts(vectors, n, d, trials, vrng, cfg)):
             return vectors
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "

@@ -271,8 +271,7 @@ def symmetrizer_relation_space(n, config=None):
         config = SamplerConfig(seed=0)
     d = n + 1
     trials = certification_trials(config.entry_bound, d)
-    basis = enumerate_invariant_basis(d)
-    echelon = _Echelon(len(basis), FIRST_PRIME)
+    echelon = _Echelon(len(enumerate_invariant_basis(d)), FIRST_PRIME)
     tableaux = enumerate_standard_tableaux(two_column_shape(n))
     selected = [vec for vec in map(project_tableau, tableaux) if echelon.add(vec)]
     expected = rel_dim_formula(n)
@@ -281,7 +280,7 @@ def symmetrizer_relation_space(n, config=None):
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
     if not all(fresh_sample_verdicts(selected, n, d, trials,
                                      stream(config.seed, "ys-verify", n),
-                                     basis, config)):
+                                     config)):
         raise KernelCertificationError(
             "projected symmetrizer failed exact verification")
     return RelationSet(n=n, d=d, relations=tuple(selected),

@@ -95,15 +95,6 @@ class TraceWord(_Value):
     def __init__(self, letters):
         _set(self, "letters", canonicalize_letters(letters))
 
-    # Explicit single-field __eq__ and __hash__: both run on hot paths.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.letters)
-
     def __len__(self):
         return len(self.letters)
 
@@ -120,8 +111,7 @@ def _word_key(word):
 class InvariantMonomial(_Value):
     """Multiset of canonical trace words; one necklace class."""
 
-    __slots__ = ("words", "_hash")
-    _fields = ("words",)
+    __slots__ = _fields = ("words",)
 
     def __init__(self, words):
         # A TraceWord is canonical already; anything else is canonicalised.
@@ -130,16 +120,6 @@ class InvariantMonomial(_Value):
         if not ws:
             raise ValueError("invariant monomial needs at least one word")
         _set(self, "words", ws)
-        # Bases are hashed as cache keys once per evaluated row; hash once.
-        _set(self, "_hash", hash(ws))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.words == other.words
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def degree(self):
@@ -165,14 +145,6 @@ class FpfInvolution(_Value):
         for a, b in enumerate(p):
             if not 0 <= b < len(p) or b == a or p[b] != a:
                 raise ValueError(f"not a fixed-point-free involution: {p!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairing == other.pairing
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.pairing)
 
     @property
     def degree(self):

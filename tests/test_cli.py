@@ -10,7 +10,6 @@ from trace_relations import montecarlo, symmetrizer, words
 from trace_relations.cli import main
 from trace_relations.montecarlo import (RelationSet, SamplerConfig,
                                         certification_trials, stream)
-from trace_relations.words import enumerate_invariant_basis
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -234,7 +233,7 @@ def test_verify_does_not_sample_from_the_file_seed(capsys, tmp_path):
     n, d, seed = 4, 6, 12345
     cfg = SamplerConfig(seed=seed)
     rows = list(islice(montecarlo._evaluation_rows(
-        n, d, stream(seed, "cli-verify"), cfg, enumerate_invariant_basis(d)),
+        n, d, stream(seed, "cli-verify"), cfg),
         certification_trials(cfg.entry_bound, d)))
     fitted = montecarlo.nullspace(rows)
     kernel = montecarlo.certified_kernel(n, d, cfg)

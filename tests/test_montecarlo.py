@@ -467,18 +467,16 @@ def test_dims_rejects_kernel_one_up_outside_the_carried_kernel(monkeypatch, caps
 
 
 def test_verify_relation():
-    basis = enumerate_invariant_basis(3)
     good = (2, 0, -3, 0, 1)
     bad = (1, 0, 0, 0, 0)
-    assert verify_relation(good, 2, 3, 20, stream(9, "v"), basis=basis)
-    assert not verify_relation(bad, 2, 3, 20, stream(9, "v"), basis=basis)
+    assert verify_relation(good, 2, 3, 20, stream(9, "v"))
+    assert not verify_relation(bad, 2, 3, 20, stream(9, "v"))
     with pytest.raises(ValueError):
-        verify_relation((1, 2), 2, 3, 5, stream(9, "v"), basis=basis)
+        verify_relation((1, 2), 2, 3, 5, stream(9, "v"))
 
 
 def test_verify_relation_rejects_zero_vector():
-    basis = enumerate_invariant_basis(3)
-    assert not verify_relation((0, 0, 0, 0, 0), 2, 3, 20, stream(9, "v"), basis=basis)
+    assert not verify_relation((0, 0, 0, 0, 0), 2, 3, 20, stream(9, "v"))
 
 
 def _unit(kernel):
@@ -562,9 +560,9 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
     # can certify it
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, config, basis):
-        rows, _ = true_draw(n, d, config, basis)
-        echelon = montecarlo._Echelon(len(basis), P)
+    def one_row(n, d, config):
+        rows, _ = true_draw(n, d, config)
+        echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
         return rows[:1], echelon
 
@@ -630,9 +628,41 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
 def test_verify_rejects_ambiguous_coefficient_variant():
     # the two printed candidates for the second (n=2, d=3) relation differ in
     # one coefficient; exact verification picks -1 and rejects -3
-    basis = enumerate_invariant_basis(3)
-    assert verify_relation((0, 2, -1, -2, 1), 2, 3, 20, stream(11, "v"), basis=basis)
-    assert not verify_relation((0, 2, -3, -2, 1), 2, 3, 20, stream(11, "v"), basis=basis)
+    assert verify_relation((0, 2, -1, -2, 1), 2, 3, 20, stream(11, "v"))
+    assert not verify_relation((0, 2, -3, -2, 1), 2, 3, 20, stream(11, "v"))
+
+
+def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
+    # The degree alone fixes the basis, so no row, symmetrizer or verify
+    # path needs the hash of a trace word, a monomial or a matching.
+    from trace_relations import evaluate, symmetrizer, words
+
+    def run():
+        return (find_relations(2, 4, CFG),
+                symmetrizer.symmetrizer_relation_space(2, CFG),
+                verify_relation((0, 2, -1, -2, 1), 2, 3, 20, stream(11, "v")),
+                verify_relation((0, 2, -3, -2, 1), 2, 3, 20, stream(11, "v")))
+
+    def clear_caches():
+        for cached in (words.canonical_words, words._invariant_basis,
+                       evaluate._compile_basis, evaluate._row_function,
+                       symmetrizer._basis_index, symmetrizer._class_index):
+            cached.cache_clear()
+
+    def unhashable(self):
+        raise AssertionError(f"{type(self).__name__} hashed")
+
+    expected = run()
+    assert expected[2:] == (True, False)
+    clear_caches()
+    for cls in (words.TraceWord, words.InvariantMonomial, words.FpfInvolution):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    assert run() == expected
+    # one row function per degree, bound once for each n it runs at
+    clear_caches()
+    find_relations(4, 7, CFG)
+    assert evaluate._compile_basis.cache_info().misses == 1
+    assert evaluate._row_function.cache_info().misses == 2     # n = 4 and 5
 
 
 def test_relation_set_json_roundtrip():

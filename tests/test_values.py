@@ -22,8 +22,7 @@ CASES = [
     (InvariantMonomial, ("words",), (((X,), (XT, X)),), (((X,), (X, X)),)),
     (FpfInvolution, ("pairing",), ((1, 0, 3, 2),), ((2, 3, 0, 1),)),
     (MatrixSample, ("n", "entries"), (2, ((1, 2), (3, 4))), (2, ((1, 2), (3, 5)))),
-    (_Compiled, ("degrees", "products", "make"),
-     (frozenset({3}), 2, _make), (frozenset({3}), 3, _make)),
+    (_Compiled, ("products", "make"), (2, _make), (3, _make)),
     (SamplerConfig, ("seed", "entry_bound"), (7, 10), (7, 20)),
     (RelationSet, ("n", "d", "relations", "method", "seed", "entry_bound"),
      (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1, 10),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trace_relations import words
+from trace_relations.evaluate import MatrixSample, evaluate_word
 from trace_relations.words import (
     X, XT, EnumerationCapError, FpfInvolution, InvariantMonomial, TraceWord,
     canonicalize_letters, class_of_involution, enumerate_invariant_basis,
@@ -108,6 +109,9 @@ def test_basis_cap_env(monkeypatch):
     # the cap is a constant; no environment variable lowers it
     monkeypatch.setenv("TRACE_RELATIONS_CAP", "2")
     assert len(enumerate_invariant_basis(3)) == 5
+    # a word is evaluated through its degree's basis, so the cap holds there
+    with pytest.raises(EnumerationCapError):
+        evaluate_word(TraceWord((X,) * 15), MatrixSample(1, ((1,),)))
     monkeypatch.setattr(words, "BASIS_CAP", 2)
     with pytest.raises(EnumerationCapError):
         enumerate_invariant_basis(3)
