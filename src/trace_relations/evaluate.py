@@ -3,26 +3,10 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from math import isqrt
 from operator import mul as _mul
 
-from .words import (X, XT, InvariantMonomial, _set, _Value,
-                    enumerate_invariant_basis)
-
-
-class MatrixSample(_Value):
-    """Square n x n matrix; entries are its n rows, each a tuple of scalars."""
-
-    __slots__ = _fields = ("n", "entries")
-
-    def __init__(self, n, entries):
-        rows = tuple(map(tuple, entries))
-        _set(self, "n", n)
-        _set(self, "entries", rows)
-        if n < 1:
-            raise ValueError("n must be positive")
-        if len(rows) != n or {*map(len, rows)} != {n}:
-            raise ValueError(f"entries must form an {n}x{n} matrix")
+from .words import X, XT, InvariantMonomial, enumerate_invariant_basis
 
 
 @lru_cache(maxsize=None)
@@ -149,20 +133,10 @@ class _Plan:
         return ns.pop("make")
 
 
-class _Compiled(_Value):
-    """A degree's matrix products per row, and
-    make(mul, trace_mul, diag) -> row(x, xt)."""
-
-    __slots__ = _fields = ("products", "make")
-
-    def __init__(self, products, make):
-        _set(self, "products", products)
-        _set(self, "make", make)
-
-
 @lru_cache(maxsize=None)
 def _compile_basis(d):
-    """The row function of the degree-d basis, compiled once for every n.
+    """(matrix products per row, make(mul, trace_mul, diag) -> row(x, xt))
+    of the degree-d basis, compiled once for every n.
 
     Each distinct word is traced once, through the split of its cheapest
     rotation or reflection (`_Plan.split`).  Then each monomial, its words
@@ -190,24 +164,24 @@ def _compile_basis(d):
                 plan.lines.append(f"{products[key]} = {value} * {key[1]}")
             value = products[key]
         values.append(value)
-    return _Compiled(plan.products, plan.compile(values))
+    return plan.products, plan.compile(values)
 
 
 @lru_cache(maxsize=256)
 def _row_function(d, n):
-    return _compile_basis(d).make(*_kernels(n), n + 1)
+    return _compile_basis(d)[1](*_kernels(n), n + 1)
 
 
 def evaluate_basis_row(d, x):
-    """Values of every degree-d basis invariant on one sample, in basis
-    order.
+    """Values of every degree-d basis invariant on one sample x, the n^2
+    entries of an n x n matrix as a flat row-major tuple, in basis order.
 
     Runs the degree's straight-line row function (`_compile_basis`) bound
-    to the per-n unrolled kernels of `_kernels`, on flat row-major tuples.
+    to the per-n unrolled kernels of `_kernels`, on x and its transpose.
     Arithmetic is that of the entries, so exact entries give exact values.
     """
-    return _row_function(d, x.n)(tuple(chain.from_iterable(x.entries)),
-                                 tuple(chain.from_iterable(zip(*x.entries))))
+    n = isqrt(len(x))
+    return _row_function(d, n)(x, sum((x[j::n] for j in range(n)), ()))
 
 
 def evaluate_monomial(monomial, x):

@@ -14,12 +14,12 @@ import json
 import random
 from functools import cached_property
 from itertools import islice, repeat
-from math import ceil, gcd, isqrt, lcm, log2
+from math import gcd, isqrt, lcm
 
 from .dimensions import stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
-from .evaluate import MatrixSample, evaluate_basis_row, evaluate_monomial  # noqa: F401
+from .evaluate import evaluate_basis_row, evaluate_monomial  # noqa: F401
 from .words import _set, _Value, enumerate_invariant_basis
 
 METHOD_MONTECARLO = "montecarlo"
@@ -46,7 +46,8 @@ def stream(seed, *labels):
 
 
 def sample_matrix(n, rng, config):
-    """Integer entries uniform on [-B, B], row by row.
+    """An n x n sample as the flat row-major tuple of its n^2 integer
+    entries, each uniform on [-B, B].
 
     Each entry is drawn as CPython 3.10-3.12's rng.randint(-B, B) draws it:
     r = rng.getrandbits(k), k = (2B + 1).bit_length(), redrawn while
@@ -63,7 +64,7 @@ def sample_matrix(n, rng, config):
         while r >= q:
             r = bits(k)
         entries.append(r - b)
-    return MatrixSample(n, zip(*[iter(entries)] * n))
+    return tuple(entries)
 
 
 def _evaluation_rows(n, d, rng, config):
@@ -74,7 +75,7 @@ def _evaluation_rows(n, d, rng, config):
     """
     while True:
         x = sample_matrix(n, rng, config)
-        if any(map(any, x.entries)):
+        if any(x):
             yield evaluate_basis_row(d, x)
 
 
@@ -381,14 +382,19 @@ def certification_trials(entry_bound, d):
 
     Schwartz-Zippel: a nonzero degree-d polynomial vanishes on entries
     uniform in [-B, B] with probability at most d / (2B + 1); excluding the
-    zero matrix, on which every relation vanishes, only lowers that.  For
-    d >= 2B + 1 no bound holds, and this raises ValueError.
+    zero matrix, on which every relation vanishes, only lowers that.  So the
+    count is the least t >= 20 with (2B + 1)^t >= 2^CERTIFICATE_BITS d^t,
+    found in integers, so any B is exact.  For d >= 2B + 1 no bound holds,
+    and this raises ValueError.
     """
     q = 2 * entry_bound + 1
     if d >= q:
         raise ValueError(f"degree {d} needs an entry bound B with 2B + 1 > d, "
                          f"B >= {(d + 1) // 2}; got B = {entry_bound}")
-    return max(20, ceil(CERTIFICATE_BITS / log2(q / d)))
+    t = 20
+    while q ** t < d ** t << CERTIFICATE_BITS:
+        t += 1
+    return t
 
 
 def fresh_sample_verdicts(vectors, n, d, trials, rng, config):

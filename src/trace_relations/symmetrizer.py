@@ -25,13 +25,13 @@ from functools import lru_cache
 
 from .dimensions import rel_dim_formula
 from .montecarlo import (FIRST_PRIME, METHOD_SYMMETRIZER,
-                         KernelCertificationError, RelationSet, SamplerConfig,
-                         _Echelon, certification_trials, fresh_sample_verdicts,
+                         KernelCertificationError, RelationSet, _Echelon,
+                         certification_trials, fresh_sample_verdicts,
                          normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
 from .montecarlo import rank_of, verify_relation  # noqa: F401
-from .words import (EnumerationCapError, FpfInvolution, _set, _Value,
-                    class_of_involution, enumerate_invariant_basis, tau)
+from .words import (EnumerationCapError, class_of_involution,
+                    enumerate_invariant_basis, tau)
 
 SYMMETRIZER_N_CAP = 6   # n=6: 429 tableaux over 135,135 matchings; 60 s, 51 MB on 2 vCPUs
 
@@ -52,40 +52,10 @@ def two_column_shape(n):
     return (2,) * (n + 1)
 
 
-class StandardTableau(_Value):
-    """Rows of 0-indexed entries, strictly increasing along rows and columns."""
-
-    __slots__ = _fields = ("shape", "rows")
-
-    def __init__(self, shape, rows):
-        shape = check_partition(shape)
-        rows = tuple(tuple(r) for r in rows)
-        _set(self, "shape", shape)
-        _set(self, "rows", rows)
-        size = sum(shape)
-        if tuple(len(r) for r in rows) != shape:
-            raise ValueError("row lengths do not match shape")
-        if sorted(e for r in rows for e in r) != list(range(size)):
-            raise ValueError("entries must be 0..size-1 exactly once")
-        for r in rows:
-            if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-                raise ValueError("rows must strictly increase")
-        for c in range(shape[0]):
-            col = [r[c] for r in rows if len(r) > c]
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                raise ValueError("columns must strictly increase")
-
-    @property
-    def size(self):
-        return sum(self.shape)
-
-    def columns(self):
-        return [tuple(r[c] for r in self.rows if len(r) > c)
-                for c in range(self.shape[0])]
-
-
 def enumerate_standard_tableaux(shape):
-    """All standard fillings, deterministic order (smallest next placement first)."""
+    """All standard fillings, deterministic order (smallest next placement
+    first).  A tableau is its tuple of rows of the entries 0..size-1, which
+    strictly increase along rows and columns."""
     shape = check_partition(shape)
     size = sum(shape)
     rows = [[] for _ in shape]
@@ -93,7 +63,7 @@ def enumerate_standard_tableaux(shape):
 
     def rec(k):
         if k == size:
-            out.append(StandardTableau(shape, tuple(tuple(r) for r in rows)))
+            out.append(tuple(map(tuple, rows)))
             return
         for i, row in enumerate(rows):
             c = len(row)
@@ -109,8 +79,15 @@ def enumerate_standard_tableaux(shape):
     return out
 
 
-def _block_group(blocks, size):
-    """Every permutation of {0..size-1} mapping each block onto itself."""
+def _columns(rows):
+    """The columns of a tableau given by its rows."""
+    return [tuple(r[c] for r in rows if len(r) > c) for c in range(len(rows[0]))]
+
+
+def _block_group(blocks):
+    """Every permutation of {0..size-1} mapping each block onto itself, for
+    blocks that partition {0..size-1}."""
+    size = sum(map(len, blocks))
     out = []
     for arrangement in itertools.product(*map(itertools.permutations, blocks)):
         img = list(range(size))
@@ -137,12 +114,12 @@ def _sign(p):
 
 def row_group(t):
     """All permutations of {0..N-1} preserving each row, as image tuples."""
-    return _block_group(t.rows, t.size)
+    return _block_group(t)
 
 
 def column_group(t):
     """All column-preserving permutations, each paired with its sign."""
-    return [(p, _sign(p)) for p in _block_group(t.columns(), t.size)]
+    return [(p, _sign(p)) for p in _block_group(_columns(t))]
 
 
 def compose(p, q):
@@ -185,7 +162,7 @@ def _basis_index(d):
 @lru_cache(maxsize=None)
 def _class_index(pairing):
     """Basis coordinate of the necklace class of a matching (pairing tuple)."""
-    return _basis_index(len(pairing) // 2)[class_of_involution(FpfInvolution(pairing))]
+    return _basis_index(len(pairing) // 2)[class_of_involution(pairing)]
 
 
 def _class_vector(terms, d):
@@ -206,7 +183,7 @@ def project_to_invariants(y, n):
     Each term (sigma, c) contributes c to the necklace class of the matching
     sigma^{-1} tau sigma.
     """
-    t = tau(n + 1).pairing
+    t = tau(n + 1)
     return _class_vector(((_conjugate(t, sigma), c) for sigma, c in y.items()),
                          n + 1)
 
@@ -243,9 +220,9 @@ def project_tableau(t):
     then the column factors (signed).  The vector over matchings is at most
     (2d-1)!! entries, however many terms y_T has.
     """
-    d = t.size // 2
-    vec = {tau(d).pairing: 1}
-    for factor in _coset_factors(t.rows, 1) + _coset_factors(t.columns(), -1):
+    d = sum(map(len, t)) // 2
+    vec = {tau(d): 1}
+    for factor in _coset_factors(t, 1) + _coset_factors(_columns(t), -1):
         out = dict(vec)
         for m, c in vec.items():
             for a, b, sign in factor:
@@ -255,7 +232,7 @@ def project_tableau(t):
     return _class_vector(vec.items(), d)
 
 
-def symmetrizer_relation_space(n, config=None):
+def symmetrizer_relation_space(n, config):
     """Keep, in tableau order, each projected symmetrizer of the two-column
     shape that raises the GF(p) rank; a rise proves independence over Q.  A
     prime that loses rank fails the rel_dim_formula(n) count check instead of
@@ -267,8 +244,6 @@ def symmetrizer_relation_space(n, config=None):
     if n > SYMMETRIZER_N_CAP:
         raise EnumerationCapError(
             f"symmetrizer run for n={n} exceeds cap n <= {SYMMETRIZER_N_CAP}")
-    if config is None:
-        config = SamplerConfig(seed=0)
     d = n + 1
     trials = certification_trials(config.entry_bound, d)
     echelon = _Echelon(len(enumerate_invariant_basis(d)), FIRST_PRIME)

@@ -7,9 +7,10 @@ multiset of such words.  Words are stored in a canonical form that quotients
 out rotation (cyclicity of the trace) and reversal-with-letter-swap
 (Tr(W) = Tr(W^T)), so equal invariants compare equal.
 
-Fixed-point-free involutions on 2d points encode the same data as tensor
-contraction patterns: slots 2i and 2i+1 (0-indexed) are the row and column
-index of tensor factor i.
+Fixed-point-free involutions on 2d points (perfect matchings) encode the
+same data as tensor contraction patterns: slots 2i and 2i+1 (0-indexed) are
+the row and column index of tensor factor i.  A matching is its pairing
+tuple p, p[a] the partner of slot a.
 """
 
 from __future__ import annotations
@@ -132,46 +133,25 @@ class InvariantMonomial(_Value):
         return "*".join(w.encode() for w in self.words)
 
 
-class FpfInvolution(_Value):
-    """Fixed-point-free involution on {0, ..., 2d-1}, i.e. a perfect matching."""
-
-    __slots__ = _fields = ("pairing",)
-
-    def __init__(self, pairing):
-        p = tuple(pairing)
-        _set(self, "pairing", p)
-        if len(p) % 2 != 0 or not p:
-            raise ValueError("pairing must cover an even, positive number of points")
-        for a, b in enumerate(p):
-            if not 0 <= b < len(p) or b == a or p[b] != a:
-                raise ValueError(f"not a fixed-point-free involution: {p!r}")
-
-    @property
-    def degree(self):
-        return len(self.pairing) // 2
-
-
 def tau(d):
-    """The canonical involution pairing slot 2i with slot 2i+1."""
+    """The canonical matching, pairing slot 2i with slot 2i+1."""
     if d < 1:
         raise ValueError("d must be positive")
     p = []
     for i in range(d):
         p += [2 * i + 1, 2 * i]
-    return FpfInvolution(tuple(p))
+    return tuple(p)
 
 
-def involution_to_monomial(inv):
-    """Trace-word multiset of a matching under the left/right slot convention.
+def involution_to_monomial(p):
+    """Trace-word multiset of a matching (pairing tuple p) under the
+    left/right slot convention.
 
     Factor i owns slots 2i (left / row index) and 2i+1 (right / column index).
     Entering a factor through its left slot contributes the letter X and exits
     through the right slot; entering through the right slot contributes XT and
     exits left.  Each traversal cycle closes up into one trace word.
     """
-    if not isinstance(inv, FpfInvolution):
-        inv = FpfInvolution(tuple(inv))
-    p = inv.pairing
     d = len(p) // 2
     seen = [False] * d
     words = []
@@ -234,6 +214,6 @@ def _invariant_basis(d):
     return tuple(sorted(out, key=InvariantMonomial.sort_key))
 
 
-def class_of_involution(inv):
+def class_of_involution(p):
     """Canonical class id (serialized necklace class) of a matching."""
-    return involution_to_monomial(inv).encode()
+    return involution_to_monomial(p).encode()

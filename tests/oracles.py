@@ -11,21 +11,22 @@ cached quasi-idempotency sweep is shared by the tests that assert on it.
 
 import functools
 import itertools
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 
-from trace_relations.evaluate import MatrixSample
 from trace_relations.symmetrizer import (algebra_multiply,
                                          enumerate_standard_tableaux,
                                          young_symmetrizer)
-from trace_relations.words import FpfInvolution
 
 
 def transpose(x):
-    return MatrixSample(x.n, tuple(zip(*x.entries)))
+    """The transpose of a flat row-major n x n sample."""
+    n = isqrt(len(x))
+    return tuple(x[i * n + j] for j in range(n) for i in range(n))
 
 
 def enumerate_fpf_involutions(d):
-    """All (2d-1)!! fixed-point-free involutions on 2d points, deterministic order."""
+    """All (2d-1)!! fixed-point-free involutions on 2d points, as pairing
+    tuples, deterministic order."""
     if d < 1:
         raise ValueError("d must be positive")
     out = []
@@ -35,7 +36,7 @@ def enumerate_fpf_involutions(d):
         try:
             a = pairing.index(-1)
         except ValueError:
-            out.append(FpfInvolution(tuple(pairing)))
+            out.append(tuple(pairing))
             return
         for b in range(a + 1, 2 * d):
             if pairing[b] == -1:
@@ -47,23 +48,25 @@ def enumerate_fpf_involutions(d):
     return out
 
 
-def contract_matching(inv, x):
-    """Full contraction of d copies of x along a perfect matching of slots.
+def contract_matching(pairing, x):
+    """Full contraction of d copies of x (flat row-major) along a perfect
+    matching of slots.
 
     Sums over all assignments of {0..n-1} to slots that are constant on
     matched pairs, of the product over factors f of x[i(2f), i(2f+1)].
     Cost n^d * d; deliberately separate from the trace-word evaluation path.
     """
-    d = inv.degree
-    pairs = [(a, b) for a, b in enumerate(inv.pairing) if a < b]
+    d = len(pairing) // 2
+    n = isqrt(len(x))
+    pairs = [(a, b) for a, b in enumerate(pairing) if a < b]
     total = 0
-    for assignment in itertools.product(range(x.n), repeat=d):
+    for assignment in itertools.product(range(n), repeat=d):
         slot_val = [0] * (2 * d)
         for (a, b), v in zip(pairs, assignment):
             slot_val[a] = slot_val[b] = v
         term = 1
         for f in range(d):
-            term = term * x.entries[slot_val[2 * f]][slot_val[2 * f + 1]]
+            term = term * x[slot_val[2 * f] * n + slot_val[2 * f + 1]]
         total = total + term
     return total
 
@@ -79,9 +82,10 @@ def annihilates(cols, vec):
 
 
 def symmetrizer_term_count(t):
-    """Pre-combination term count |row group| * |column group|."""
-    rows = prod(factorial(r) for r in t.shape)
-    cols = prod(factorial(len(c)) for c in t.columns())
+    """Pre-combination term count |row group| * |column group| of a tableau
+    given by its rows; column c has one box in each row longer than c."""
+    rows = prod(factorial(len(r)) for r in t)
+    cols = prod(factorial(sum(len(r) > c for r in t)) for c in range(len(t[0])))
     return rows * cols
 
 

@@ -112,6 +112,19 @@ def test_verify_golden_file(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_entry_bound_past_float_range(capsys, tmp_path):
+    # (2B + 1) / d overflows a float from B = 10^308 on; the trial count is
+    # found in integers, so the file is checked like any other
+    obj = json.loads((DATA / "golden_n2_d3.json").read_text())
+    obj["entry_bound"] = 10 ** 309
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", "--input", str(path), "--seed", "1")
+    assert rc == 0
+    assert out == "relation 0: PASS\nrelation 1: PASS\n"
+    assert err == ""
+
+
 def test_verify_corrupted_coefficient(capsys, tmp_path):
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
     obj["relations"][0][0] = "3"

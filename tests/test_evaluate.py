@@ -2,12 +2,13 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trace_relations.evaluate import (
-    MatrixSample, _compile_basis, _kernels, _Plan, _reverse_swap,
+    _compile_basis, _kernels, _Plan, _reverse_swap,
     evaluate_basis_row, evaluate_monomial, evaluate_word)
 from trace_relations.words import (
     X, XT, InvariantMonomial, TraceWord, canonical_words,
@@ -17,18 +18,12 @@ from oracles import contract_matching, enumerate_fpf_involutions, transpose
 
 
 def mat(rows):
-    return MatrixSample(len(rows), tuple(tuple(r) for r in rows))
+    """The flat row-major sample of a square matrix given by its rows."""
+    return tuple(e for r in rows for e in r)
 
 
 def random_int_matrix(n, rng, bound=5):
     return mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-
-
-def test_matrix_sample_validation():
-    with pytest.raises(ValueError):
-        MatrixSample(2, ((1, 2),))
-    with pytest.raises(ValueError):
-        MatrixSample(0, ())
 
 
 def test_evaluate_word_examples():
@@ -83,12 +78,11 @@ def signed_permutation_matrices(n, rng, count):
 
 
 def conjugate(g, x):
-    gt = transpose(g)
-    n = x.n
+    n = isqrt(len(x))
     def mm(a, b):
-        return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(n))
-                           for j in range(n)) for i in range(n))
-    return mat(mm(mm(gt.entries, x.entries), g.entries))
+        return tuple(sum(a[i * n + l] * b[l * n + j] for l in range(n))
+                     for i in range(n) for j in range(n))
+    return mm(mm(transpose(g), x), g)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -125,13 +119,14 @@ def test_contraction_certifies_bijection(d, n):
 
 def _naive_monomial(monomial, x):
     # reference: one matrix product per letter of every word, no sharing
-    n = x.n
-    xt = tuple(zip(*x.entries))
+    n = isqrt(len(x))
+    rows = tuple(x[i * n:(i + 1) * n] for i in range(n))
+    xt = tuple(zip(*rows))
     val = 1
     for w in monomial.words:
         prod = None
         for letter in w.letters:
-            f = x.entries if letter == X else xt
+            f = rows if letter == X else xt
             prod = f if prod is None else tuple(
                 tuple(sum(prod[i][l] * f[l][j] for l in range(n)) for j in range(n))
                 for i in range(n))
@@ -166,9 +161,8 @@ def random_fraction_matrix(n, rng):
 
 def _plan_values(plan, values, x):
     """The values of a plan's expressions on x, through the compiled row."""
-    row = plan.compile(values)(*_kernels(x.n), x.n + 1)
-    return row(tuple(e for r in x.entries for e in r),
-               tuple(e for c in zip(*x.entries) for e in c))
+    n = isqrt(len(x))
+    return plan.compile(values)(*_kernels(n), n + 1)(x, transpose(x))
 
 
 def _rotations_and_reflections(w):
@@ -229,8 +223,8 @@ def test_basis_row_of_shuffled_and_singleton_bases(d):
 def test_plan_products_per_row():
     # Matrix products per row, for every n: the (9, 10) cell took 156 and
     # the (4, 7) cell 27 when every word prefix was a product.
-    assert _compile_basis(10).products <= 31
-    assert _compile_basis(7).products <= 9
+    assert _compile_basis(10)[0] <= 31
+    assert _compile_basis(7)[0] <= 9
 
 
 def test_degree_12_basis_compiles_and_evaluates():
@@ -270,7 +264,7 @@ def test_kernels_are_freed_without_the_cycle_collector():
         del mul, trace_mul
         assert ref() is None
         # the same holds for a degree's compiled row function
-        ref = weakref.ref(_compile_basis(3).make)
+        ref = weakref.ref(_compile_basis(3)[1])
         _compile_basis.cache_clear()
         assert ref() is None
     finally:

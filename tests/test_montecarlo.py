@@ -32,7 +32,7 @@ def test_sample_matrix_deterministic_and_bounded():
     a = sample_matrix(3, stream(5, "row", 0), CFG)
     b = sample_matrix(3, stream(5, "row", 0), CFG)
     assert a == b
-    assert all(-10 <= e <= 10 for row in a.entries for e in row)
+    assert len(a) == 9 and all(-10 <= e <= 10 for e in a)
     c = sample_matrix(3, stream(5, "row", 1), CFG)
     assert a != c
 
@@ -45,9 +45,8 @@ def test_sample_matrix_draws_the_randint_stream(bound):
     for seed in range(200):
         for n in (1, 4):
             rng = random.Random(seed)
-            expected = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
-                             for _ in range(n))
-            assert sample_matrix(n, random.Random(seed), cfg).entries == expected
+            expected = tuple(rng.randint(-bound, bound) for _ in range(n * n))
+            assert sample_matrix(n, random.Random(seed), cfg) == expected
 
 
 def test_evaluation_rows_skip_the_zero_matrix():
@@ -595,6 +594,18 @@ def test_certification_trials_meet_the_bound_at_every_degree():
             assert trials == 20 or (trials - 1) * per_trial > -30
 
 
+def test_certification_trials_are_exact_for_any_entry_bound():
+    # The count is found in integers.  Where (2B + 1) / d fits a float, the
+    # float formula is its oracle, on every degree the basis cap allows.
+    for d in range(1, 15):
+        for b in range((d + 1) // 2, 3000):
+            q = 2 * b + 1
+            assert certification_trials(b, d) == max(20, math.ceil(30 / math.log2(q / d)))
+    # past float range, where q / d overflows, the floor of 20 holds
+    assert certification_trials(10 ** 309, 14) == 20
+    assert certification_trials(10 ** 4000, 1) == 20
+
+
 @pytest.mark.parametrize("b,d", [(1, 3), (1, 4), (10, 21), (10, 30)])
 def test_certification_trials_refuse_degree_past_entry_range(b, d):
     with pytest.raises(ValueError):
@@ -634,7 +645,7 @@ def test_verify_rejects_ambiguous_coefficient_variant():
 
 def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
     # The degree alone fixes the basis, so no row, symmetrizer or verify
-    # path needs the hash of a trace word, a monomial or a matching.
+    # path needs the hash of a trace word or a monomial.
     from trace_relations import evaluate, symmetrizer, words
 
     def run():
@@ -655,7 +666,7 @@ def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
     expected = run()
     assert expected[2:] == (True, False)
     clear_caches()
-    for cls in (words.TraceWord, words.InvariantMonomial, words.FpfInvolution):
+    for cls in (words.TraceWord, words.InvariantMonomial):
         monkeypatch.setattr(cls, "__hash__", unhashable)
     assert run() == expected
     # one row function per degree, bound once for each n it runs at

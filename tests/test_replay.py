@@ -7,6 +7,7 @@ then it is re-pinned together with that change.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -24,6 +25,14 @@ MONTECARLO_SEED13 = {
     (1, 2): "b5b0981a51089557f509612f9d9621010b90a7a8231b3de8ebf121318e6d9098",
     (2, 3): "86b5b428be6e1ff48749ac848fc8c1074cf875b5c586157f9d63245ff3f564f3",
     (4, 5): "bb70b429fcf7942326f6cbef477c2ddce8b8b65561341c5eba9773935cfb34d4",
+    (3, 8): "41bb1922e54671515a8aba2dd8a091aa693acc0a0633e14ea6a7c4b2fc3246c8",
+    (2, 9): "0068e290d780d6ff172887ccbdc5174e1dc8183698adde3e0fb673ce5f054fee",
+}
+
+# Frontier cells, about 1 s and 5 s: run with TRACE_RELATIONS_LONG=1.
+MONTECARLO_SEED13_LONG = {
+    (8, 9): "5ba773376c0a0900bf1176d6659cf3a60eab1e714cdd2edafe7fc25a92040165",
+    (9, 10): "b32e8559edb1ab2b4d50820d6bd1422d9216beec1f83bbc3839d1c8778b22313",
 }
 
 SYMMETRIZER_SEED13 = {
@@ -46,6 +55,14 @@ def digest(argv, tmp_path):
 def test_montecarlo_relations_replay(n, d, tmp_path):
     argv = ["relations", "--n", str(n), "--d", str(d), "--seed", "13"]
     assert digest(argv, tmp_path) == MONTECARLO_SEED13[(n, d)]
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="long frontier cells; set TRACE_RELATIONS_LONG=1")
+@pytest.mark.parametrize("n,d", sorted(MONTECARLO_SEED13_LONG))
+def test_montecarlo_relations_replay_long(n, d, tmp_path):
+    argv = ["relations", "--n", str(n), "--d", str(d), "--seed", "13"]
+    assert digest(argv, tmp_path) == MONTECARLO_SEED13_LONG[(n, d)]
 
 
 @pytest.mark.parametrize("n", sorted(SYMMETRIZER_SEED13))

@@ -4,7 +4,7 @@ from trace_relations import montecarlo, symmetrizer
 from trace_relations.dimensions import rel_dim_formula
 from trace_relations.montecarlo import SamplerConfig, find_relations, rank_of, stream, verify_relation
 from trace_relations.symmetrizer import (
-    StandardTableau, algebra_multiply, column_group, compose,
+    algebra_multiply, column_group, compose,
     enumerate_standard_tableaux, invert, project_tableau,
     project_to_invariants, row_group, symmetrizer_relation_space,
     two_column_shape, young_symmetrizer)
@@ -25,15 +25,22 @@ def test_two_column_shape():
 
 
 def test_standard_tableau_validation():
-    StandardTableau((2, 2), ((0, 1), (2, 3)))
-    with pytest.raises(ValueError):
-        StandardTableau((2, 2), ((1, 0), (2, 3)))     # row not increasing
-    with pytest.raises(ValueError):
-        StandardTableau((2, 2), ((0, 2), (1, 1)))     # repeated entry
-    with pytest.raises(ValueError):
-        StandardTableau((2, 2), ((2, 3), (0, 1)))     # column decreasing
-    with pytest.raises(ValueError):
-        StandardTableau((1, 2), ((0,), (1, 2)))       # not a partition
+    # A tableau is its tuple of rows; the enumeration is the only source of
+    # tableaux, so every one it yields is checked to be standard.
+    for size in range(1, 8):
+        for shape in all_partitions(size):
+            for t in enumerate_standard_tableaux(shape):
+                assert tuple(map(len, t)) == shape
+                assert sorted(e for r in t for e in r) == list(range(size))
+                for r in t:
+                    assert list(r) == sorted(set(r))            # rows increase
+                for c in range(shape[0]):
+                    col = [r[c] for r in t if len(r) > c]
+                    assert col == sorted(set(col))              # columns increase
+    with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+        enumerate_standard_tableaux((1, 2))                     # not a partition
+    with pytest.raises(ValueError, match="invalid partition"):
+        enumerate_standard_tableaux((2, 0))
 
 
 @pytest.mark.parametrize("shape,count", [((2, 2), 2), ((2, 2, 2), 5),
@@ -86,15 +93,12 @@ def test_column_group_signs():
 
 
 def test_young_symmetrizer_trivial_shapes():
-    t = StandardTableau((1,), ((0,),))
-    assert young_symmetrizer(t) == {(0,): 1}
-    t = StandardTableau((2,), ((0, 1),))
-    assert young_symmetrizer(t) == {(0, 1): 1, (1, 0): 1}
+    assert young_symmetrizer(((0,),)) == {(0,): 1}
+    assert young_symmetrizer(((0, 1),)) == {(0, 1): 1, (1, 0): 1}
 
 
 def test_young_symmetrizer_square_example():
-    t = StandardTableau((2, 2), ((0, 1), (2, 3)))
-    y = young_symmetrizer(t)
+    y = young_symmetrizer(((0, 1), (2, 3)))
     yy = algebra_multiply(y, y)
     # c = 4!/dim of the shape-(2,2) irreducible = 24/2 = 12
     assert yy == {p: 12 * c for p, c in y.items()}
@@ -123,14 +127,14 @@ def test_project_identity_term():
         assert vec == expected
         # tau centralizes itself: e_id + e_tau doubles the same class
         from trace_relations.words import tau
-        vec2 = project_to_invariants({ident: 1, tau(d).pairing: 1}, n)
+        vec2 = project_to_invariants({ident: 1, tau(d): 1}, n)
         assert vec2 == expected  # normalized back to the unit vector
 
 
 def test_project_zero_vector_passthrough():
     # e_id and e_tau conjugate tau to the same matching, so they cancel
     from trace_relations.words import tau
-    y = {(0, 1, 2, 3): 1, tau(2).pairing: -1}
+    y = {(0, 1, 2, 3): 1, tau(2): -1}
     assert project_to_invariants(y, 1) == (0, 0, 0)
 
 
@@ -142,7 +146,7 @@ def test_project_tableau_matches_expanded_symmetrizer():
     tableaux += enumerate_standard_tableaux(two_column_shape(3))
     zero = 0
     for t in tableaux:
-        n = t.size // 2 - 1
+        n = sum(map(len, t)) // 2 - 1
         vec = project_tableau(t)
         assert vec == project_to_invariants(young_symmetrizer(t), n)
         zero += not any(vec)

@@ -6,29 +6,19 @@ import re
 
 import pytest
 
-from trace_relations.evaluate import MatrixSample, _Compiled
 from trace_relations.montecarlo import METHOD_MONTECARLO, RelationSet, SamplerConfig
-from trace_relations.symmetrizer import StandardTableau
-from trace_relations.words import X, XT, FpfInvolution, InvariantMonomial, TraceWord
+from trace_relations.symmetrizer import enumerate_standard_tableaux
+from trace_relations.words import X, XT, InvariantMonomial, TraceWord
 
-
-def _make(mul, trace_mul, diag):
-    return None
-
+RELATION_SET_ARGS = (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1, 10)
 
 # (class, fields, constructor arguments, arguments that differ in one field)
 CASES = [
     (TraceWord, ("letters",), ((XT, X, XT),), ((X, X, X),)),
     (InvariantMonomial, ("words",), (((X,), (XT, X)),), (((X,), (X, X)),)),
-    (FpfInvolution, ("pairing",), ((1, 0, 3, 2),), ((2, 3, 0, 1),)),
-    (MatrixSample, ("n", "entries"), (2, ((1, 2), (3, 4))), (2, ((1, 2), (3, 5)))),
-    (_Compiled, ("products", "make"), (2, _make), (3, _make)),
     (SamplerConfig, ("seed", "entry_bound"), (7, 10), (7, 20)),
     (RelationSet, ("n", "d", "relations", "method", "seed", "entry_bound"),
-     (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1, 10),
-     (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 2, 10)),
-    (StandardTableau, ("shape", "rows"),
-     ((2, 2), ((0, 1), (2, 3))), ((2, 2), ((0, 2), (1, 3)))),
+     RELATION_SET_ARGS, (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 2, 10)),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -74,8 +64,7 @@ def test_repr_names_class_and_fields(cls, fields, args, other_args):
 
 
 def test_relation_set_cached_basis_is_not_a_field():
-    args = CASES[6][2]
-    a, b = RelationSet(*args), RelationSet(*args)
+    a, b = RelationSet(*RELATION_SET_ARGS), RelationSet(*RELATION_SET_ARGS)
     assert a.basis == ("xxx", "xxt", "xx*x", "xt*x", "x*x*x")
     assert a.basis is a.basis
     assert a == b and hash(a) == hash(b)
@@ -84,9 +73,6 @@ def test_relation_set_cached_basis_is_not_a_field():
 def test_constructors_canonicalise_their_fields():
     assert TraceWord([XT, X, XT]).letters == (X, X, XT)
     assert InvariantMonomial([[X], (XT, X)]) == InvariantMonomial([(X, XT), (X,)])
-    assert FpfInvolution([1, 0]).pairing == (1, 0)
-    assert MatrixSample(1, [[5]]).entries == ((5,),)
-    assert StandardTableau([2, 2], [[0, 1], [2, 3]]).rows == ((0, 1), (2, 3))
     assert SamplerConfig(seed=3).entry_bound == 10
 
 
@@ -94,18 +80,8 @@ def test_constructors_canonicalise_their_fields():
     (lambda: TraceWord(()), "trace word must have at least one letter"),
     (lambda: TraceWord((X, 2)), "letters must be X or XT"),
     (lambda: InvariantMonomial(()), "invariant monomial needs at least one word"),
-    (lambda: FpfInvolution((0, 1)), "not a fixed-point-free involution"),
-    (lambda: FpfInvolution((1, 0, 2)), "pairing must cover an even, positive"),
-    (lambda: FpfInvolution(()), "pairing must cover an even, positive"),
-    (lambda: MatrixSample(2, ((1, 2), (3,))), "entries must form an 2x2 matrix"),
-    (lambda: MatrixSample(2, ((1, 2),)), "entries must form an 2x2 matrix"),
-    (lambda: MatrixSample(0, ()), "n must be positive"),
     (lambda: SamplerConfig(seed=1, entry_bound=0), "entry_bound must be >= 1"),
-    (lambda: StandardTableau((2, 2), ((0, 2), (3, 1))), "rows must strictly increase"),
-    (lambda: StandardTableau((2, 2), ((0, 3), (1, 2))), "columns must strictly increase"),
-    (lambda: StandardTableau((1, 2), ((0,), (1, 2))), "parts must be weakly decreasing"),
-    (lambda: StandardTableau((2, 2), ((0, 1), (2,))), "row lengths do not match shape"),
-    (lambda: StandardTableau((2,), ((0, 0),)), "entries must be 0..size-1 exactly once"),
+    (lambda: enumerate_standard_tableaux((1, 2)), "parts must be weakly decreasing"),
 ])
 def test_validation_errors_are_unchanged(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trace_relations import words
-from trace_relations.evaluate import MatrixSample, evaluate_word
+from trace_relations.evaluate import evaluate_word
+from trace_relations.symmetrizer import _swap_labels
 from trace_relations.words import (
-    X, XT, EnumerationCapError, FpfInvolution, InvariantMonomial, TraceWord,
+    X, XT, EnumerationCapError, InvariantMonomial, TraceWord,
     canonicalize_letters, class_of_involution, enumerate_invariant_basis,
     involution_to_monomial, tau)
 
@@ -56,18 +57,34 @@ def test_canonical_form_rotation_invariant(w, r):
 
 
 def test_tau():
-    assert tau(1).pairing == (1, 0)
-    assert tau(2).pairing == (1, 0, 3, 2)
-    assert tau(3).pairing == (1, 0, 3, 2, 5, 4)
+    assert tau(1) == (1, 0)
+    assert tau(2) == (1, 0, 3, 2)
+    assert tau(3) == (1, 0, 3, 2, 5, 4)
+
+
+def _is_fpf_involution(p):
+    return len(p) % 2 == 0 and all(0 <= b < len(p) and b != a and p[b] == a
+                                   for a, b in enumerate(p))
 
 
 def test_fpf_involution_validation():
-    with pytest.raises(ValueError):
-        FpfInvolution((0, 1, 2))          # odd length
-    with pytest.raises(ValueError):
-        FpfInvolution((0, 1, 3, 2))       # fixed point at 0
-    with pytest.raises(ValueError):
-        FpfInvolution((1, 0, 3, 3))       # not an involution
+    # A matching is its pairing tuple, unchecked.  The symmetrizer builds
+    # every matching from tau by label swaps, so those must give exactly
+    # the fixed-point-free involutions.
+    assert not _is_fpf_involution((0, 1, 2))        # odd length
+    assert not _is_fpf_involution((0, 1, 3, 2))     # fixed point at 0
+    assert not _is_fpf_involution((1, 0, 3, 3))     # not an involution
+    for d in range(1, 5):
+        seen, todo = {tau(d)}, [tau(d)]
+        while todo:
+            m = todo.pop()
+            assert _is_fpf_involution(m)
+            for a, b in itertools.combinations(range(2 * d), 2):
+                m2 = _swap_labels(m, a, b)
+                if m2 not in seen:
+                    seen.add(m2)
+                    todo.append(m2)
+        assert seen == set(enumerate_fpf_involutions(d))
 
 
 @pytest.mark.parametrize("d,count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945), (6, 10395)])
@@ -86,8 +103,8 @@ def test_involution_to_monomial_degree2_classes():
     assert images == {"xx", "xt", "x*x"}
     # the slot convention pins which matching is which (certified against the
     # contraction oracle in test_evaluate)
-    assert class_of_involution(FpfInvolution((3, 2, 1, 0))) == "xx"   # (1 4)(2 3)
-    assert class_of_involution(FpfInvolution((2, 3, 0, 1))) == "xt"   # (1 3)(2 4)
+    assert class_of_involution((3, 2, 1, 0)) == "xx"   # (1 4)(2 3)
+    assert class_of_involution((2, 3, 0, 1)) == "xt"   # (1 3)(2 4)
 
 
 def test_involution_to_monomial_degree3_image():
@@ -111,7 +128,7 @@ def test_basis_cap_env(monkeypatch):
     assert len(enumerate_invariant_basis(3)) == 5
     # a word is evaluated through its degree's basis, so the cap holds there
     with pytest.raises(EnumerationCapError):
-        evaluate_word(TraceWord((X,) * 15), MatrixSample(1, ((1,),)))
+        evaluate_word(TraceWord((X,) * 15), (1,))
     monkeypatch.setattr(words, "BASIS_CAP", 2)
     with pytest.raises(EnumerationCapError):
         enumerate_invariant_basis(3)
@@ -148,18 +165,17 @@ def test_basis_degrees_and_canonical_words():
             assert w.letters == canonicalize_letters(w.letters)
 
 
-def _pair_permutation_conjugate(inv, g):
+def _pair_permutation_conjugate(p, g):
     # g permutes tensor factors; slot 2i+e goes to 2g(i)+e
     d = len(g)
     slot = [0] * (2 * d)
     for i in range(d):
         slot[2 * i] = 2 * g[i]
         slot[2 * i + 1] = 2 * g[i] + 1
-    p = inv.pairing
     out = [0] * (2 * d)
     for a in range(2 * d):
         out[slot[a]] = slot[p[a]]
-    return FpfInvolution(tuple(out))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
