@@ -7,14 +7,14 @@ symmetrizer group-algebra method.
 """
 
 from .dimensions import rel_dim_formula, stable_range
-from .montecarlo import (KernelCertificationError, RelationSet, SamplerConfig,
-                         find_relations, rel_dimension_table, verify_relation)
+from .montecarlo import (KernelCertificationError, RelationSet, find_relations,
+                         rel_dimension_table, verify_relation)
 from .symmetrizer import symmetrizer_relation_space
 from .words import EnumerationCapError, enumerate_invariant_basis
 
 __all__ = [
     "EnumerationCapError", "KernelCertificationError", "RelationSet",
-    "SamplerConfig", "enumerate_invariant_basis", "find_relations",
+    "enumerate_invariant_basis", "find_relations",
     "rel_dim_formula", "rel_dimension_table", "stable_range",
     "symmetrizer_relation_space", "verify_relation",
 ]

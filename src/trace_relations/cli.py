@@ -11,9 +11,9 @@ import random
 import sys
 import time
 
-from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
-                         KernelCertificationError, RelationSet, SamplerConfig,
-                         certification_trials, find_relations,
+from .montecarlo import (ENTRY_BOUND, METHOD_MONTECARLO, METHOD_SYMMETRIZER,
+                         KernelCertificationError, RelationSet,
+                         certified_kernel, find_relations,
                          fresh_sample_verdicts, rank_of, rel_dimension_table,
                          stream)
 from .symmetrizer import symmetrizer_relation_space
@@ -30,12 +30,12 @@ def _add_seed_flag(p):
                    help="RNG seed; a random one is drawn and reported if omitted")
 
 
-def _config_from(args, **fields):
+def _seed_from(args):
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(63)
         print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
-    return SamplerConfig(seed=seed, **fields)
+    return seed
 
 
 def _emit(text, output):
@@ -59,18 +59,17 @@ def cmd_enumerate(args):
 
 
 def cmd_relations(args):
-    config = _config_from(args)
+    seed = _seed_from(args)
     t0 = time.perf_counter()
     if args.method == METHOD_SYMMETRIZER:
         if args.d != args.n + 1:
             print("error: --method symmetrizer requires d = n + 1", file=sys.stderr)
             return EXIT_USAGE
-        rs = symmetrizer_relation_space(args.n, config)
+        rs = symmetrizer_relation_space(args.n, seed)
     else:
-        rs = find_relations(args.n, args.d, config)
+        rs = find_relations(args.n, args.d, seed)
     elapsed = time.perf_counter() - t0
-    print(f"# n={rs.n} d={rs.d}: k={len(rs.basis)} "
-          f"rank={len(rs.basis) - len(rs.relations)} relations={len(rs.relations)} "
+    print(f"# n={rs.n} d={rs.d}: k={len(rs.basis)} relations={len(rs.relations)} "
           f"method={rs.method} wall={elapsed:.2f}s", file=sys.stderr)
     _emit(rs.to_json(), args.output)
     return EXIT_OK
@@ -80,8 +79,7 @@ def cmd_dims(args):
     if args.max_d < 1 or args.max_n < 1:
         print("error: --max-d and --max-n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    config = _config_from(args)
-    table = rel_dimension_table(args.max_d, args.max_n, config)
+    table = rel_dimension_table(args.max_d, args.max_n, _seed_from(args))
     ns = range(1, args.max_n + 1)
     rows = [["d\\n", *map(str, ns)]]
     rows += [[str(d), *(str(table[(d, n)]) for n in ns)]
@@ -104,26 +102,28 @@ def cmd_verify(args):
         raise ValueError(f"malformed relation file: {exc}") from exc
     rs = RelationSet.from_json(text)
     # a fresh seed unless --seed is given: a file must not pick its own samples
-    config = _config_from(args, entry_bound=rs.entry_bound)
+    seed = _seed_from(args)
     if not rs.relations:
         print("warning: relation list is empty; nothing to verify", file=sys.stderr)
         print("PASS (vacuous)")
         return EXIT_OK
-    trials = certification_trials(rs.entry_bound, rs.d)
-    verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d, trials,
-                                     stream(config.seed, "cli-verify"), config)
+    verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d,
+                                     stream(seed, "cli-verify"), ENTRY_BOUND)
     for i, ok in enumerate(verdicts):
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
     failures = verdicts.count(False)
     if failures:
         print(f"# {failures} of {len(rs.relations)} relations failed", file=sys.stderr)
-    # rank(M) = rank(M^T); the transpose's kernel is empty when the
-    # relations are independent, so no vector is lifted
-    rank = rank_of(list(zip(*rs.relations)))
+    # Relations count modulo the (n+1) kernel, which is trivial for
+    # d <= n + 1.  rank(M) = rank(M^T); the transpose's kernel is empty when
+    # the kernel and the relations together are independent, so no vector
+    # is lifted.
+    ambient = certified_kernel(rs.n + 1, rs.d, seed) if rs.d > rs.n + 1 else []
+    rank = rank_of(list(zip(*ambient, *rs.relations))) - len(ambient)
     dependent = rank < len(rs.relations)
     if dependent:
-        print(f"# relations are linearly dependent: rank {rank} of "
-              f"{len(rs.relations)} vectors", file=sys.stderr)
+        print(f"# relations are linearly dependent modulo the (n+1) kernel: "
+              f"rank {rank} of {len(rs.relations)} vectors", file=sys.stderr)
     if failures or dependent:
         return EXIT_CERTIFICATION
     return EXIT_OK

@@ -30,14 +30,9 @@ class KernelCertificationError(Exception):
     """A computed relation basis failed certification (CLI exit 4)."""
 
 
-class SamplerConfig(_Value):
-    __slots__ = _fields = ("seed", "entry_bound")
-
-    def __init__(self, seed, entry_bound=10):
-        _set(self, "seed", seed)
-        _set(self, "entry_bound", entry_bound)
-        if entry_bound < 1:
-            raise ValueError("entry_bound must be >= 1")
+# Samples have entries uniform on [-B, B], B = ENTRY_BOUND on a first
+# attempt; each escalation doubles B.
+ENTRY_BOUND = 10
 
 
 def stream(seed, *labels):
@@ -45,16 +40,15 @@ def stream(seed, *labels):
     return random.Random("/".join([str(seed), *map(str, labels)]))
 
 
-def sample_matrix(n, rng, config):
+def sample_matrix(n, rng, b):
     """An n x n sample as the flat row-major tuple of its n^2 integer
-    entries, each uniform on [-B, B].
+    entries, each uniform on [-b, b].
 
-    Each entry is drawn as CPython 3.10-3.12's rng.randint(-B, B) draws it:
-    r = rng.getrandbits(k), k = (2B + 1).bit_length(), redrawn while
-    r >= 2B + 1; the entry is r - B.  Same stream, without randint's
+    Each entry is drawn as CPython 3.10-3.12's rng.randint(-b, b) draws it:
+    r = rng.getrandbits(k), k = (2b + 1).bit_length(), redrawn while
+    r >= 2b + 1; the entry is r - b.  Same stream, without randint's
     per-call argument handling.
     """
-    b = config.entry_bound
     q = 2 * b + 1
     k = q.bit_length()
     bits = rng.getrandbits
@@ -67,22 +61,22 @@ def sample_matrix(n, rng, config):
     return tuple(entries)
 
 
-def _evaluation_rows(n, d, rng, config):
+def _evaluation_rows(n, d, rng, b):
     """The degree-d basis invariants on each successive sample drawn from
-    `rng`.
+    `rng` with entry bound b.
 
     Zero matrices satisfy every relation vacuously, so they are skipped.
     """
     while True:
-        x = sample_matrix(n, rng, config)
+        x = sample_matrix(n, rng, b)
         if any(x):
             yield evaluate_basis_row(d, x)
 
 
-def build_evaluation_matrix(n, d, m, config):
-    """m x k matrix of the first m rows drawn from stream(seed, "rows")."""
-    rng = stream(config.seed, "rows")
-    return list(islice(_evaluation_rows(n, d, rng, config), m))
+def build_evaluation_matrix(n, d, m, seed):
+    """m x k matrix of the first m rows drawn from stream(seed, "rows") at
+    entry bound ENTRY_BOUND."""
+    return list(islice(_evaluation_rows(n, d, stream(seed, "rows"), ENTRY_BOUND), m))
 
 
 def normalize_vector(vec):
@@ -397,31 +391,27 @@ def certification_trials(entry_bound, d):
     return t
 
 
-def fresh_sample_verdicts(vectors, n, d, trials, rng, config):
+def fresh_sample_verdicts(vectors, n, d, rng, b):
     """For each vector, whether it is nonzero and annihilates each of
-    `trials` fresh samples drawn from `rng`, checked exactly by
-    `_annihilates` on their evaluation rows.
+    certification_trials(b, d) fresh samples with entry bound b drawn from
+    `rng`, checked exactly by `_annihilates` on their evaluation rows.
 
-    All vectors share the samples; each one still meets `trials` independent
-    draws, so its Schwartz-Zippel bound is what it would be alone.  For
+    All vectors share the samples; each one still meets every independent
+    draw, so its Schwartz-Zippel bound is what it would be alone.  For
     d <= n (stable range) no nonzero relation exists, and nothing is drawn.
     """
     if not vectors or stable_range(d, n):
         return [False] * len(vectors)
-    rows = list(islice(_evaluation_rows(n, d, rng, config), trials))
+    rows = list(islice(_evaluation_rows(n, d, rng, b), certification_trials(b, d)))
     return [any(v) and ok for v, ok in zip(vectors, _annihilates(rows, vectors))]
 
 
-def verify_relation(coeffs, n, d, trials, rng, config=None):
-    """True iff the coefficient vector is nonzero and annihilates `trials`
-    fresh exact samples."""
+def verify_relation(coeffs, n, d, rng):
+    """True iff the coefficient vector is nonzero and annihilates
+    certification_trials(ENTRY_BOUND, d) fresh exact samples."""
     if len(coeffs) != len(enumerate_invariant_basis(d)):
         raise ValueError("coefficient length does not match basis size")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if config is None:
-        config = SamplerConfig(seed=0)
-    [ok] = fresh_sample_verdicts([coeffs], n, d, trials, rng, config)
+    [ok] = fresh_sample_verdicts([coeffs], n, d, rng, ENTRY_BOUND)
     return ok
 
 
@@ -442,17 +432,16 @@ def _coefficient(entry):
 
 
 class RelationSet(_Value):
-    """Certified relation basis plus the configuration that produced it.
+    """Certified relation basis plus the seed that produced it.
 
     relations is a tuple of normalized integer tuples.  No __slots__: the
     cached `basis` lives in the instance __dict__.
     """
 
-    _fields = ("n", "d", "relations", "method", "seed", "entry_bound")
+    _fields = ("n", "d", "relations", "method", "seed")
 
-    def __init__(self, n, d, relations, method, seed, entry_bound):
-        for name, value in zip(self._fields,
-                               (n, d, relations, method, seed, entry_bound)):
+    def __init__(self, n, d, relations, method, seed):
+        for name, value in zip(self._fields, (n, d, relations, method, seed)):
             _set(self, name, value)
 
     @cached_property
@@ -468,23 +457,24 @@ class RelationSet(_Value):
             "relations": [[str(c) for c in rel] for rel in self.relations],
             "method": self.method,
             "seed": self.seed,
-            "entry_bound": self.entry_bound,
+            "entry_bound": ENTRY_BOUND,
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text):
-        """The relation set of a `to_json` file.  Only JSON integers (not
-        booleans) are read as n, d, seed and entry_bound, and relations only
-        as lists of integers or decimal-integer strings, each as long as the
-        degree-d basis, which `basis` must be, in order; anything else is a
-        ValueError."""
+        """The relation set of a `to_json` file.  n, d, seed and entry_bound
+        must be JSON integers (not booleans); entry_bound is only a record,
+        and its value is not read.  Relations must be lists of integers or
+        decimal-integer strings, each as long as the degree-d basis, which
+        `basis` must be, in order; anything else is a ValueError."""
         try:
             obj = json.loads(text)
             if type(obj) is not dict:
                 raise ValueError("top-level value must be a JSON object")
             fields = {key: _json_int(obj[key], key)
                       for key in ("n", "d", "seed", "entry_bound")}
+            del fields["entry_bound"]
             relations = obj["relations"]
             if type(relations) is not list or any(type(rel) is not list
                                                   for rel in relations):
@@ -517,9 +507,10 @@ MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, config):
-    """A prefix of build_evaluation_matrix(n, d, k + IDLE_ROWS, config) and
-    its echelon form over GF(FIRST_PRIME).
+def _draw_rows(n, d, seed, b):
+    """A prefix of the k + IDLE_ROWS rows drawn from stream(seed, "rows")
+    with entry bound b (build_evaluation_matrix's rows when b = ENTRY_BOUND),
+    and its echelon form over GF(FIRST_PRIME).
 
     Rows are drawn until the rank reaches k, or IDLE_ROWS consecutive rows
     leave it unchanged, or k + IDLE_ROWS rows are drawn.
@@ -528,8 +519,8 @@ def _draw_rows(n, d, config):
     echelon = _Echelon(k, FIRST_PRIME)
     rows = []
     idle = 0
-    rng = stream(config.seed, "rows")
-    for row in islice(_evaluation_rows(n, d, rng, config), k + IDLE_ROWS):
+    rng = stream(seed, "rows")
+    for row in islice(_evaluation_rows(n, d, rng, b), k + IDLE_ROWS):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
         if echelon.rank == k or idle == IDLE_ROWS:
@@ -537,7 +528,7 @@ def _draw_rows(n, d, config):
     return rows, echelon
 
 
-def certified_kernel(n, d, config):
+def certified_kernel(n, d, seed):
     """Nullspace of the evaluation matrix on n x n samples, with every vector
     re-verified on fresh draws; escalates the entry bound (doubling,
     reseeded) on verification failure.
@@ -551,13 +542,12 @@ def certified_kernel(n, d, config):
     can cost escalations but never changes the result.
     """
     for attempt in range(MAX_ESCALATIONS + 1):
-        cfg = SamplerConfig(seed=f"{config.seed}:n{n}:attempt{attempt}",
-                            entry_bound=config.entry_bound * 2 ** attempt)
-        trials = certification_trials(cfg.entry_bound, d)
-        rows, echelon = _draw_rows(n, d, cfg)
+        attempt_seed = f"{seed}:n{n}:attempt{attempt}"
+        b = ENTRY_BOUND << attempt
+        rows, echelon = _draw_rows(n, d, attempt_seed, b)
         vectors = nullspace(rows, echelon)
-        vrng = stream(cfg.seed, "verify")
-        if all(fresh_sample_verdicts(vectors, n, d, trials, vrng, cfg)):
+        vrng = stream(attempt_seed, "verify")
+        if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
             return vectors
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "
@@ -568,7 +558,7 @@ def _last_nonzero(vec):
     return max(i for i, c in enumerate(vec) if c)
 
 
-def find_relations(n, d, config):
+def find_relations(n, d, seed):
     """Certified basis of the degree-d relation space for the O(n) action.
 
     The relation space is the kernel of restricting degree-d invariants of
@@ -579,15 +569,12 @@ def find_relations(n, d, config):
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    relations, _ = _relations(n, d, config)
-    return RelationSet(n=n, d=d,
-                       relations=tuple(relations),
-                       method=METHOD_MONTECARLO,
-                       seed=config.seed,
-                       entry_bound=config.entry_bound)
+    relations, _ = _relations(n, d, seed)
+    return RelationSet(n=n, d=d, relations=tuple(relations),
+                       method=METHOD_MONTECARLO, seed=seed)
 
 
-def _relations(n, d, config, kernel=None):
+def _relations(n, d, seed, kernel=None):
     """(relation vectors of find_relations, the certified kernel on
     (n+1) x (n+1) samples, or None for d <= n + 1); ([], None) without a
     computation in the stable range, d <= n.
@@ -600,10 +587,10 @@ def _relations(n, d, config, kernel=None):
     if stable_range(d, n):
         return [], None
     if kernel is None:
-        kernel = certified_kernel(n, d, config)
+        kernel = certified_kernel(n, d, seed)
     if d <= n + 1:
         return kernel, None
-    ambient = certified_kernel(n + 1, d, config)
+    ambient = certified_kernel(n + 1, d, seed)
     # Every (n+1) relation holds on n x n matrices (embed x as diag(x, 0)),
     # so the ambient kernel lies in the n kernel.  Check it: the quotient
     # below is only right if it holds.
@@ -619,7 +606,7 @@ def _relations(n, d, config, kernel=None):
     return [v for v in kernel if _last_nonzero(v) not in taken], ambient
 
 
-def rel_dimension_table(max_d, max_n, config):
+def rel_dimension_table(max_d, max_n, seed):
     """dict {(d, n): relation count} for 1 <= d <= max_d, 1 <= n <= max_n.
 
     Stable-range cells (d <= n) are 0 without a computation.  Each (n, d)
@@ -632,8 +619,7 @@ def rel_dimension_table(max_d, max_n, config):
         enumerate_invariant_basis(d)    # only the cap check
         carried = None      # certified kernel on n x n samples, or None
         for n in range(1, max_n + 1):
-            cell_seed = stream(config.seed, "table", d, n).getrandbits(63)
-            cell_cfg = SamplerConfig(seed=cell_seed, entry_bound=config.entry_bound)
-            relations, carried = _relations(n, d, cell_cfg, carried)
+            cell_seed = stream(seed, "table", d, n).getrandbits(63)
+            relations, carried = _relations(n, d, cell_seed, carried)
             table[(d, n)] = len(relations)
     return table

@@ -24,10 +24,9 @@ import itertools
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
-from .montecarlo import (FIRST_PRIME, METHOD_SYMMETRIZER,
+from .montecarlo import (ENTRY_BOUND, FIRST_PRIME, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet, _Echelon,
-                         certification_trials, fresh_sample_verdicts,
-                         normalize_vector, stream)
+                         fresh_sample_verdicts, normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
 from .montecarlo import rank_of, verify_relation  # noqa: F401
 from .words import (EnumerationCapError, class_of_involution,
@@ -232,7 +231,7 @@ def project_tableau(t):
     return _class_vector(vec.items(), d)
 
 
-def symmetrizer_relation_space(n, config):
+def symmetrizer_relation_space(n, seed):
     """Keep, in tableau order, each projected symmetrizer of the two-column
     shape that raises the GF(p) rank; a rise proves independence over Q.  A
     prime that loses rank fails the rel_dim_formula(n) count check instead of
@@ -245,7 +244,6 @@ def symmetrizer_relation_space(n, config):
         raise EnumerationCapError(
             f"symmetrizer run for n={n} exceeds cap n <= {SYMMETRIZER_N_CAP}")
     d = n + 1
-    trials = certification_trials(config.entry_bound, d)
     echelon = _Echelon(len(enumerate_invariant_basis(d)), FIRST_PRIME)
     tableaux = enumerate_standard_tableaux(two_column_shape(n))
     selected = [vec for vec in map(project_tableau, tableaux) if echelon.add(vec)]
@@ -253,11 +251,9 @@ def symmetrizer_relation_space(n, config):
     if len(selected) != expected:
         raise KernelCertificationError(
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
-    if not all(fresh_sample_verdicts(selected, n, d, trials,
-                                     stream(config.seed, "ys-verify", n),
-                                     config)):
+    if not all(fresh_sample_verdicts(selected, n, d, stream(seed, "ys-verify", n),
+                                     ENTRY_BOUND)):
         raise KernelCertificationError(
             "projected symmetrizer failed exact verification")
     return RelationSet(n=n, d=d, relations=tuple(selected),
-                       method=METHOD_SYMMETRIZER, seed=config.seed,
-                       entry_bound=config.entry_bound)
+                       method=METHOD_SYMMETRIZER, seed=seed)

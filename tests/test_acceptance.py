@@ -14,8 +14,7 @@ import pytest
 
 from trace_relations.dimensions import rel_dim_formula
 from trace_relations.evaluate import evaluate_monomial
-from trace_relations.montecarlo import (SamplerConfig, find_relations, rank_of,
-                                        stream, verify_relation)
+from trace_relations.montecarlo import find_relations, rank_of, stream, verify_relation
 from trace_relations.symmetrizer import (enumerate_standard_tableaux,
                                          project_tableau, project_to_invariants,
                                          symmetrizer_relation_space,
@@ -30,7 +29,7 @@ from oracles import (catalan, contract_matching, enumerate_fpf_involutions,
                      symmetrizer_term_count, two_part_partitions)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
-CFG = SamplerConfig(seed=20260824)
+SEED = 20260824
 
 EXPECTED_TABLE = {
     1: [0, 0, 0, 0, 0],
@@ -51,7 +50,7 @@ def test_criterion_1_dimension_table(capsys):
     with capsys.disabled():
         t0 = time.perf_counter()
         rc = cli_main(["dims", "--max-d", "6", "--max-n", "5",
-                       "--seed", str(CFG.seed), "--format", "csv",
+                       "--seed", str(SEED), "--format", "csv",
                        "--output", "/tmp/dims_acceptance.csv"])
         elapsed = time.perf_counter() - t0
         rows = pathlib.Path("/tmp/dims_acceptance.csv").read_text().splitlines()
@@ -63,7 +62,7 @@ def test_criterion_1_dimension_table(capsys):
 def test_criterion_2_theorem_diagonal(capsys):
     with capsys.disabled():
         t0 = time.perf_counter()
-        counts = [len(find_relations(n, n + 1, CFG).relations) for n in range(1, 6)]
+        counts = [len(find_relations(n, n + 1, SEED).relations) for n in range(1, 6)]
         formula = [rel_dim_formula(n) for n in range(1, 6)]
         elapsed = time.perf_counter() - t0
         ok = counts == formula == [2, 2, 3, 3, 4] and elapsed < 120
@@ -72,16 +71,14 @@ def test_criterion_2_theorem_diagonal(capsys):
 
 def test_criterion_3_worked_example_and_golden(capsys):
     with capsys.disabled():
-        rs = find_relations(2, 3, CFG)
+        rs = find_relations(2, 3, SEED)
         span = [list(v) for v in rs.relations]
         target = [2, 0, -3, 0, 1]  # Tr(x)^3 - 3Tr(x^2)Tr(x) + 2Tr(x^3)
         ok = len(rs.relations) == 2 and rank_of(span) == 2
         ok = ok and rank_of(span + [target]) == 2
         # ambiguous second relation: -1 variant verifies, -3 variant fails
-        ok = ok and verify_relation((0, 2, -1, -2, 1), 2, 3, 20,
-                                    stream(CFG.seed, "c3a"))
-        ok = ok and not verify_relation((0, 2, -3, -2, 1), 2, 3, 20,
-                                        stream(CFG.seed, "c3b"))
+        ok = ok and verify_relation((0, 2, -1, -2, 1), 2, 3, stream(SEED, "c3a"))
+        ok = ok and not verify_relation((0, 2, -3, -2, 1), 2, 3, stream(SEED, "c3b"))
         golden = json.loads((DATA / "golden_n2_d3.json").read_text())
         frozen = [[int(c) for c in rel] for rel in golden["relations"]]
         ok = ok and frozen == [[2, 0, -3, 0, 1], [0, 2, -1, -2, 1]]
@@ -95,8 +92,8 @@ def test_criterion_4_cross_engine_ranks(capsys):
         t0 = time.perf_counter()
         ok = True
         for n in (1, 2, 3, 4):
-            mc = find_relations(n, n + 1, CFG)
-            ys = symmetrizer_relation_space(n, CFG)
+            mc = find_relations(n, n + 1, SEED)
+            ys = symmetrizer_relation_space(n, SEED)
             r = rel_dim_formula(n)
             ranks = (rank_of([list(v) for v in mc.relations]),
                      rank_of([list(v) for v in ys.relations]),
@@ -118,10 +115,10 @@ def test_criterion_4_long_n4(capsys):
         ok = ok and (project_tableau(tableaux[0])
                      == project_to_invariants(young_symmetrizer(tableaux[0]), 4))
         t0 = time.perf_counter()
-        mc = find_relations(5, 6, CFG)
+        mc = find_relations(5, 6, SEED)
         mc_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        ys = symmetrizer_relation_space(5, CFG)
+        ys = symmetrizer_relation_space(5, SEED)
         ys_time = time.perf_counter() - t0
         r = rel_dim_formula(5)
         ok = ok and len(mc.relations) == len(ys.relations) == r
@@ -136,9 +133,9 @@ def test_criterion_4_long_n6(capsys):
     with capsys.disabled():
         # n = 6 is the symmetrizer cap: 429 tableaux over 135,135 matchings
         t0 = time.perf_counter()
-        ys = symmetrizer_relation_space(6, CFG)
+        ys = symmetrizer_relation_space(6, SEED)
         ys_time = time.perf_counter() - t0
-        mc = find_relations(6, 7, CFG)
+        mc = find_relations(6, 7, SEED)
         r = rel_dim_formula(6)
         ok = len(ys.relations) == r == 4
         ok = ok and rank_of([list(v) for v in mc.relations + ys.relations]) == r
@@ -162,7 +159,7 @@ def test_criterion_6_bijection_certification(capsys):
         ok = True
         for d in (1, 2, 3):
             for n in (1, 2, 3):
-                rng = random.Random(f"{CFG.seed}/{d}/{n}")
+                rng = random.Random(f"{SEED}/{d}/{n}")
                 for inv in enumerate_fpf_involutions(d):
                     mono = involution_to_monomial(inv)
                     for _ in range(20):
@@ -176,7 +173,7 @@ def test_criterion_6_bijection_certification(capsys):
 
 def test_criterion_7_invariance_suite(capsys):
     with capsys.disabled():
-        rng = random.Random(CFG.seed)
+        rng = random.Random(SEED)
         ok = True
         # conjugation by signed permutation matrices, d<=4 n<=4
         for d in range(1, 5):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -8,7 +9,7 @@ import pytest
 
 from trace_relations import montecarlo, symmetrizer, words
 from trace_relations.cli import main
-from trace_relations.montecarlo import (RelationSet, SamplerConfig,
+from trace_relations.montecarlo import (ENTRY_BOUND, RelationSet,
                                         certification_trials, stream)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -76,6 +77,15 @@ def test_relations_symmetrizer_requires_diagonal(capsys):
                      "--method", "symmetrizer", "--seed", "1")
     assert rc == 2
     assert "d = n + 1" in err
+
+
+def test_relations_reports_no_rank(capsys):
+    # k - relations is the evaluation rank only for d <= n + 1; at (2, 6)
+    # it would be 31, while the 2 x 2 evaluation rank is 44 - 34 = 10
+    rc, out, err = run(capsys, "relations", "--n", "2", "--d", "6", "--seed", "3")
+    assert rc == 0
+    assert re.fullmatch(r"# n=2 d=6: k=44 relations=13 method=montecarlo "
+                        r"wall=\d+\.\d\ds\n", err)
 
 
 def test_relations_replay_byte_identical(capsys, tmp_path):
@@ -239,24 +249,43 @@ def test_verify_big_dependent_relation_fails(capsys, tmp_path):
     assert "rank 2 of 3" in err
 
 
+def test_verify_rejects_the_n_plus_1_kernel(capsys, tmp_path):
+    # Each (3, 5) kernel vector vanishes on every 2 x 2 matrix, but it is
+    # zero in the (2, 5) relation space, which is the quotient by that kernel
+    path = tmp_path / "rel.json"
+    rc, _, _ = run(capsys, "relations", "--n", "2", "--d", "5", "--seed", "13",
+                   "--output", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", "--input", str(path), "--seed", "1")
+    assert (rc, out.count("PASS"), err) == (0, 7, "")
+    ambient = montecarlo.certified_kernel(3, 5, 13)
+    path.write_text(RelationSet(n=2, d=5, relations=tuple(ambient),
+                                method=montecarlo.METHOD_MONTECARLO,
+                                seed=13).to_json())
+    rc, out, err = run(capsys, "verify", "--input", str(path), "--seed", "1")
+    assert rc == 4
+    assert out.splitlines() == [f"relation {i}: PASS" for i in range(7)]
+    assert err == ("# relations are linearly dependent modulo the (n+1) kernel: "
+                   "rank 0 of 7 vectors\n")
+
+
 def test_verify_does_not_sample_from_the_file_seed(capsys, tmp_path):
     # A vector fitted to the rows that verify would draw from the file's own
     # seed: their nullspace is far larger than the true kernel, so it holds
     # a vector that is no relation, and the file records that seed.
     n, d, seed = 4, 6, 12345
-    cfg = SamplerConfig(seed=seed)
     rows = list(islice(montecarlo._evaluation_rows(
-        n, d, stream(seed, "cli-verify"), cfg),
-        certification_trials(cfg.entry_bound, d)))
+        n, d, stream(seed, "cli-verify"), ENTRY_BOUND),
+        certification_trials(ENTRY_BOUND, d)))
     fitted = montecarlo.nullspace(rows)
-    kernel = montecarlo.certified_kernel(n, d, cfg)
+    kernel = montecarlo.certified_kernel(n, d, seed)
     assert (len(fitted), len(kernel)) == (24, 9)
     forged = next(v for v in fitted
                   if montecarlo.rank_of(kernel + [v]) > len(kernel))
     path = tmp_path / "forged.json"
     path.write_text(RelationSet(n=n, d=d, relations=(forged,),
-                                method=montecarlo.METHOD_MONTECARLO, seed=seed,
-                                entry_bound=cfg.entry_bound).to_json())
+                                method=montecarlo.METHOD_MONTECARLO,
+                                seed=seed).to_json())
     rc, out, _ = run(capsys, "verify", "--input", str(path), "--seed", str(seed))
     assert (rc, out) == (0, "relation 0: PASS\n")
     rc, out, err = run(capsys, "verify", "--input", str(path))
@@ -392,21 +421,14 @@ def test_relations_symmetrizer_refuses_n_above_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("method", ["montecarlo", "symmetrizer"])
 def test_relations_entry_bound_too_small_for_degree(capsys, tmp_path, method):
-    # 2B + 1 = 3 <= d: no Schwartz-Zippel bound holds for any trial count
-    cfg = SamplerConfig(seed=1, entry_bound=1)
-    with pytest.raises(ValueError, match="^degree 3 needs an entry bound"):
-        if method == "montecarlo":
-            montecarlo.find_relations(2, 3, cfg)
-        else:
-            symmetrizer.symmetrizer_relation_space(2, cfg)
+    # 2B + 1 = 3 <= d would leave no Schwartz-Zippel bound, but the file's
+    # entry_bound is only a record: verify samples at ENTRY_BOUND
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
     obj.update(entry_bound=1, method=method, relations=obj["relations"][:1])
     path = tmp_path / "b1.json"
     path.write_text(json.dumps(obj))
     rc, out, err = run(capsys, "verify", "--input", str(path), "--seed", "1")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: degree 3 needs an entry bound")
+    assert (rc, out, err) == (0, "relation 0: PASS\n", "")
 
 
 @pytest.mark.parametrize("patch", [("rel_dim_formula", lambda n: 99),
@@ -439,8 +461,7 @@ def test_verify_stable_range_fails_without_sampling(capsys, monkeypatch, tmp_pat
     monkeypatch.setattr(montecarlo, "sample_matrix", _no_sampling)
     path = tmp_path / "stable.json"
     path.write_text(RelationSet(n=40, d=3, relations=((1, 0, 0, 0, 0),),
-                                method="montecarlo", seed=1,
-                                entry_bound=10).to_json())
+                                method="montecarlo", seed=1).to_json())
     rc, out, _ = run(capsys, "verify", "--input", str(path), "--seed", "1")
     assert rc == 4
     assert out == "relation 0: FAIL\n"

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from trace_relations import montecarlo
 from trace_relations.cli import main
 from trace_relations.montecarlo import (
-    KernelCertificationError, RelationSet, SamplerConfig,
+    ENTRY_BOUND, KernelCertificationError, RelationSet,
     build_evaluation_matrix, certification_trials, certified_kernel,
     find_relations, normalize_vector,
     nullspace, rank_of, rel_dimension_table, sample_matrix, stream,
@@ -20,20 +20,15 @@ from trace_relations.words import enumerate_invariant_basis
 
 from oracles import annihilates
 
-CFG = SamplerConfig(seed=42)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, entry_bound=0)
+SEED = 42
 
 
 def test_sample_matrix_deterministic_and_bounded():
-    a = sample_matrix(3, stream(5, "row", 0), CFG)
-    b = sample_matrix(3, stream(5, "row", 0), CFG)
+    a = sample_matrix(3, stream(5, "row", 0), ENTRY_BOUND)
+    b = sample_matrix(3, stream(5, "row", 0), ENTRY_BOUND)
     assert a == b
     assert len(a) == 9 and all(-10 <= e <= 10 for e in a)
-    c = sample_matrix(3, stream(5, "row", 1), CFG)
+    c = sample_matrix(3, stream(5, "row", 1), ENTRY_BOUND)
     assert a != c
 
 
@@ -41,26 +36,26 @@ def test_sample_matrix_deterministic_and_bounded():
 def test_sample_matrix_draws_the_randint_stream(bound):
     # The draws, and so every row and relation, are those of
     # rng.randint(-B, B) entry by entry, as on CPython 3.10-3.12.
-    cfg = SamplerConfig(seed=0, entry_bound=bound)
     for seed in range(200):
         for n in (1, 4):
             rng = random.Random(seed)
             expected = tuple(rng.randint(-bound, bound) for _ in range(n * n))
-            assert sample_matrix(n, random.Random(seed), cfg) == expected
+            assert sample_matrix(n, random.Random(seed), bound) == expected
 
 
 def test_evaluation_rows_skip_the_zero_matrix():
     # with B = 1 a 1 x 1 sample is zero a third of the time; its row would
     # be all zero and vanish under every coefficient vector
-    rows = build_evaluation_matrix(1, 1, 60, SamplerConfig(seed=2, entry_bound=1))
+    rows = list(itertools.islice(
+        montecarlo._evaluation_rows(1, 1, stream(2, "rows"), 1), 60))
     assert len(rows) == 60
     assert all(any(row) for row in rows)
 
 
 def test_build_evaluation_matrix_shape():
-    rows = build_evaluation_matrix(2, 3, 5, CFG)
+    rows = build_evaluation_matrix(2, 3, 5, SEED)
     assert len(rows) == 5 and all(len(r) == 5 for r in rows)
-    rows = build_evaluation_matrix(3, 1, 4, CFG)
+    rows = build_evaluation_matrix(3, 1, 4, SEED)
     assert len(rows) == 4 and all(len(r) == 1 for r in rows)
 
 
@@ -354,7 +349,7 @@ def test_rank_of():
 
 
 def test_find_relations_n2_d3():
-    rs = find_relations(2, 3, CFG)
+    rs = find_relations(2, 3, SEED)
     assert len(rs.relations) == 2
     assert rs.basis == ("xxx", "xxt", "xx*x", "xt*x", "x*x*x")
     target = [2, 0, -3, 0, 1]  # Tr(x)^3 - 3Tr(x^2)Tr(x) + 2Tr(x^3)
@@ -369,20 +364,20 @@ def test_find_relations_stable_range_empty():
     # the theorem here
     for n in range(1, 5):
         for d in range(1, n + 1):
-            assert find_relations(n, d, CFG).relations == ()
+            assert find_relations(n, d, SEED).relations == ()
             k = len(enumerate_invariant_basis(d))
-            rows = build_evaluation_matrix(n, d, k + montecarlo.IDLE_ROWS, CFG)
+            rows = build_evaluation_matrix(n, d, k + montecarlo.IDLE_ROWS, SEED)
             assert nullspace(rows) == []
 
 
 def test_find_relations_n2_d4():
-    assert len(find_relations(2, 4, CFG).relations) == 3
+    assert len(find_relations(2, 4, SEED).relations) == 3
 
 
 def test_theorem_diagonal():
     from trace_relations.dimensions import rel_dim_formula
     for n in range(1, 8):
-        rs = find_relations(n, n + 1, CFG)
+        rs = find_relations(n, n + 1, SEED)
         assert len(rs.relations) == rel_dim_formula(n)
 
 
@@ -391,15 +386,15 @@ def test_theorem_diagonal():
 @pytest.mark.parametrize("n", [8, 9])
 def test_theorem_diagonal_long(n):
     from trace_relations.dimensions import rel_dim_formula
-    assert len(find_relations(n, n + 1, CFG).relations) == rel_dim_formula(n)
+    assert len(find_relations(n, n + 1, SEED).relations) == rel_dim_formula(n)
 
 
 def test_relations_vanish_only_on_smaller_matrices():
     # deep cell: every returned vector vanishes on M_n samples but the
     # selected basis is independent of the kernel one dimension up
-    rs = find_relations(1, 4, CFG)
+    rs = find_relations(1, 4, SEED)
     assert len(rs.relations) == 5
-    up = certified_kernel(2, 4, CFG)
+    up = certified_kernel(2, 4, SEED)
     stack = [list(v) for v in up] + [list(v) for v in rs.relations]
     assert rank_of(stack) == len(up) + len(rs.relations)
 
@@ -425,7 +420,7 @@ def test_quotient_matches_greedy_rank_loop(monkeypatch, n, d):
         return kernels[m]
 
     monkeypatch.setattr(montecarlo, "certified_kernel", recording)
-    rs = find_relations(n, d, CFG)
+    rs = find_relations(n, d, SEED)
     assert rs.relations == _greedy_quotient(kernels[n], kernels[n + 1])
 
 
@@ -441,7 +436,7 @@ def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys
 
         monkeypatch.setattr(montecarlo, "certified_kernel", padded)
         with pytest.raises(KernelCertificationError):
-            find_relations(1, 3, CFG)
+            find_relations(1, 3, SEED)
         assert main(["relations", "--n", "1", "--d", "3", "--seed", "1"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -468,14 +463,14 @@ def test_dims_rejects_kernel_one_up_outside_the_carried_kernel(monkeypatch, caps
 def test_verify_relation():
     good = (2, 0, -3, 0, 1)
     bad = (1, 0, 0, 0, 0)
-    assert verify_relation(good, 2, 3, 20, stream(9, "v"))
-    assert not verify_relation(bad, 2, 3, 20, stream(9, "v"))
+    assert verify_relation(good, 2, 3, stream(9, "v"))
+    assert not verify_relation(bad, 2, 3, stream(9, "v"))
     with pytest.raises(ValueError):
-        verify_relation((1, 2), 2, 3, 5, stream(9, "v"))
+        verify_relation((1, 2), 2, 3, stream(9, "v"))
 
 
 def test_verify_relation_rejects_zero_vector():
-    assert not verify_relation((0, 0, 0, 0, 0), 2, 3, 20, stream(9, "v"))
+    assert not verify_relation((0, 0, 0, 0, 0), 2, 3, stream(9, "v"))
 
 
 def _unit(kernel):
@@ -509,7 +504,7 @@ def test_certified_kernel_rejects_spurious_vector(monkeypatch, n, d, spurious,
 
     monkeypatch.setattr(montecarlo, "nullspace", padded)
     with pytest.raises(KernelCertificationError):
-        certified_kernel(n, d, CFG)
+        certified_kernel(n, d, SEED)
 
 
 def _kernel_rows(monkeypatch):
@@ -533,12 +528,11 @@ def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, 
     # the rows are a prefix of the k + IDLE_ROWS rows of the evaluation matrix
     seen = _kernel_rows(monkeypatch)
     k = len(enumerate_invariant_basis(d))
-    first = SamplerConfig(seed=f"{CFG.seed}:n{n}:attempt0",
-                          entry_bound=CFG.entry_bound)
+    first = f"{SEED}:n{n}:attempt0"
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
         seen.clear()
-        certified_kernel(n, d, CFG)
+        certified_kernel(n, d, SEED)
         full = build_evaluation_matrix(n, d, k + idle, first)
         assert 1 <= len(seen[0]) <= len(full)
         assert seen[0] == full[:len(seen[0])]
@@ -550,7 +544,7 @@ def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
         seen.clear()
-        assert len(certified_kernel(1, 7, CFG)) == 75
+        assert len(certified_kernel(1, 7, SEED)) == 75
         assert len(seen) == 1 and len(seen[0]) <= 1 + idle
 
 
@@ -559,15 +553,15 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
     # can certify it
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, config):
-        rows, _ = true_draw(n, d, config)
+    def one_row(n, d, seed, b):
+        rows, _ = true_draw(n, d, seed, b)
         echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
         return rows[:1], echelon
 
     monkeypatch.setattr(montecarlo, "_draw_rows", one_row)
     with pytest.raises(KernelCertificationError):
-        certified_kernel(2, 5, CFG)
+        certified_kernel(2, 5, SEED)
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (2, 6), (3, 6), (4, 7)])
@@ -577,7 +571,7 @@ def test_relations_do_not_depend_on_oversample(monkeypatch, n, d):
     results = set()
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
-        results.add(find_relations(n, d, SamplerConfig(seed=13)).relations)
+        results.add(find_relations(n, d, 13).relations)
     assert len(results) == 1
 
 
@@ -613,34 +607,57 @@ def test_certification_trials_refuse_degree_past_entry_range(b, d):
 
 
 def test_engines_run_the_derived_trial_count(monkeypatch):
-    # B = 2, d = 3: (3/5)^41 <= 2^-30 < (3/5)^40, so 41 trials, not 20
+    # The engines pass only the entry bound, B = 10 * 2^attempt;
+    # fresh_sample_verdicts draws certification_trials(B, d) samples itself.
     from trace_relations import symmetrizer
     from trace_relations.symmetrizer import symmetrizer_relation_space
-    cfg = SamplerConfig(seed=3, entry_bound=2)
-    seen = []
+    bounds, degrees = [], []
     true_verdicts = montecarlo.fresh_sample_verdicts
+    true_draw = montecarlo._draw_rows
+    true_row = montecarlo.evaluate_basis_row
 
-    def recording(vectors, n, d, trials, *rest):
-        seen.append(trials)
-        return true_verdicts(vectors, n, d, trials, *rest)
+    def recording(vectors, n, d, rng, b):
+        bounds.append(b)
+        return true_verdicts(vectors, n, d, rng, b)
+
+    def short_first_attempt(n, d, seed, b):
+        # one row leaves a kernel too large to certify, so attempt 0 escalates
+        rows, echelon = true_draw(n, d, seed, b)
+        if seed.endswith("attempt0"):
+            echelon = montecarlo._Echelon(len(rows[0]), P)
+            echelon.add(rows[0])
+            rows = rows[:1]
+        return rows, echelon
+
+    def counting(d, x):
+        degrees.append(d)
+        return true_row(d, x)
 
     monkeypatch.setattr(montecarlo, "fresh_sample_verdicts", recording)
     monkeypatch.setattr(symmetrizer, "fresh_sample_verdicts", recording)
-    find_relations(2, 3, cfg)
-    assert seen[0] == 41
-    assert seen == [certification_trials(2 * 2 ** a, 3)
-                    for a in range(len(seen))]
-    seen.clear()
-    symmetrizer_relation_space(2, cfg)
+    monkeypatch.setattr(montecarlo, "_draw_rows", short_first_attempt)
+    find_relations(2, 3, 3)
+    assert bounds == [10, 20]
+    bounds.clear()
+    symmetrizer_relation_space(2, 3)
     # both kept vectors are certified on one shared sample set
-    assert seen == [41]
+    assert bounds == [10]
+
+    monkeypatch.setattr(montecarlo, "evaluate_basis_row", counting)
+    vec = (1,) + (0,) * (len(enumerate_invariant_basis(8)) - 1)
+    true_verdicts([vec], 2, 8, stream(1, "v"), 10)
+    assert len(degrees) == certification_trials(10, 8) == 22
+    degrees.clear()
+    bounds.clear()
+    verify_relation(vec, 2, 8, stream(1, "v"))
+    assert (bounds, len(degrees)) == ([10], 22)
 
 
 def test_verify_rejects_ambiguous_coefficient_variant():
     # the two printed candidates for the second (n=2, d=3) relation differ in
     # one coefficient; exact verification picks -1 and rejects -3
-    assert verify_relation((0, 2, -1, -2, 1), 2, 3, 20, stream(11, "v"))
-    assert not verify_relation((0, 2, -3, -2, 1), 2, 3, 20, stream(11, "v"))
+    assert verify_relation((0, 2, -1, -2, 1), 2, 3, stream(11, "v"))
+    assert not verify_relation((0, 2, -3, -2, 1), 2, 3, stream(11, "v"))
 
 
 def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
@@ -649,10 +666,10 @@ def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
     from trace_relations import evaluate, symmetrizer, words
 
     def run():
-        return (find_relations(2, 4, CFG),
-                symmetrizer.symmetrizer_relation_space(2, CFG),
-                verify_relation((0, 2, -1, -2, 1), 2, 3, 20, stream(11, "v")),
-                verify_relation((0, 2, -3, -2, 1), 2, 3, 20, stream(11, "v")))
+        return (find_relations(2, 4, SEED),
+                symmetrizer.symmetrizer_relation_space(2, SEED),
+                verify_relation((0, 2, -1, -2, 1), 2, 3, stream(11, "v")),
+                verify_relation((0, 2, -3, -2, 1), 2, 3, stream(11, "v")))
 
     def clear_caches():
         for cached in (words.canonical_words, words._invariant_basis,
@@ -671,26 +688,26 @@ def test_engines_hash_no_word_monomial_or_matching(monkeypatch):
     assert run() == expected
     # one row function per degree, bound once for each n it runs at
     clear_caches()
-    find_relations(4, 7, CFG)
+    find_relations(4, 7, SEED)
     assert evaluate._compile_basis.cache_info().misses == 1
     assert evaluate._row_function.cache_info().misses == 2     # n = 4 and 5
 
 
 def test_relation_set_json_roundtrip():
-    rs = find_relations(2, 3, CFG)
+    rs = find_relations(2, 3, SEED)
     text = rs.to_json()
     assert RelationSet.from_json(text) == rs
-    assert text == find_relations(2, 3, CFG).to_json()
+    assert text == find_relations(2, 3, SEED).to_json()
 
 
 def test_reproducibility_bit_identical():
-    a = find_relations(3, 4, SamplerConfig(seed=12345)).to_json()
-    b = find_relations(3, 4, SamplerConfig(seed=12345)).to_json()
+    a = find_relations(3, 4, 12345).to_json()
+    b = find_relations(3, 4, 12345).to_json()
     assert a == b
 
 
 def test_rel_dimension_table_small():
-    table = rel_dimension_table(3, 2, CFG)
+    table = rel_dimension_table(3, 2, SEED)
     assert table == {(1, 1): 0, (1, 2): 0, (2, 1): 2, (2, 2): 0,
                      (3, 1): 2, (3, 2): 2}
 
@@ -704,17 +721,15 @@ def test_rel_dimension_table_certifies_each_kernel_once(monkeypatch):
         return true_kernel(m, d, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "certified_kernel", counting)
-    rel_dimension_table(7, 3, CFG)
+    rel_dimension_table(7, 3, SEED)
     # cell (d, n) needs the kernels for n and, for d > n + 1, n + 1
     assert calls == {(m, d): 1 for d in range(1, 8) for m in range(1, 5) if m < d}
 
 
 @pytest.mark.parametrize("seed", [5, 42])
 def test_rel_dimension_table_matches_unshared_cells(seed):
-    cfg = SamplerConfig(seed=seed)
-    table = rel_dimension_table(7, 3, cfg)
+    table = rel_dimension_table(7, 3, seed)
     for (d, n), count in table.items():
-        cell_cfg = SamplerConfig(seed=stream(seed, "table", d, n).getrandbits(63),
-                                 entry_bound=cfg.entry_bound)
+        cell_seed = stream(seed, "table", d, n).getrandbits(63)
         assert count == (0 if d <= n else
-                         len(find_relations(n, d, cell_cfg).relations))
+                         len(find_relations(n, d, cell_seed).relations))

@@ -2,7 +2,7 @@ import pytest
 
 from trace_relations import montecarlo, symmetrizer
 from trace_relations.dimensions import rel_dim_formula
-from trace_relations.montecarlo import SamplerConfig, find_relations, rank_of, stream, verify_relation
+from trace_relations.montecarlo import find_relations, rank_of, stream, verify_relation
 from trace_relations.symmetrizer import (
     algebra_multiply, column_group, compose,
     enumerate_standard_tableaux, invert, project_tableau,
@@ -13,7 +13,7 @@ from trace_relations.words import EnumerationCapError, enumerate_invariant_basis
 from oracles import (all_partitions, quasi_idempotency_failures,
                      symmetrizer_term_count, two_part_partitions)
 
-CFG = SamplerConfig(seed=11)
+SEED = 11
 
 
 def test_two_column_shape():
@@ -155,11 +155,11 @@ def test_project_tableau_matches_expanded_symmetrizer():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetrizer_relation_space(n):
-    rs = symmetrizer_relation_space(n, CFG)
+    rs = symmetrizer_relation_space(n, SEED)
     assert rs.method == "symmetrizer"
     assert len(rs.relations) == rel_dim_formula(n)
     for i, rel in enumerate(rs.relations):
-        assert verify_relation(rel, n, n + 1, 20, stream(1, "t", i))
+        assert verify_relation(rel, n, n + 1, stream(1, "t", i))
 
 
 # The exact vectors the engine selects: tableau order, the product order of
@@ -178,7 +178,7 @@ PINNED_RELATIONS = {
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrizer_relations_pinned(n):
-    assert list(symmetrizer_relation_space(n, CFG).relations) == PINNED_RELATIONS[n]
+    assert list(symmetrizer_relation_space(n, SEED).relations) == PINNED_RELATIONS[n]
 
 
 def test_symmetrizer_selects_without_nullspace_and_certifies_once(monkeypatch):
@@ -194,15 +194,15 @@ def test_symmetrizer_selects_without_nullspace_and_certifies_once(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "nullspace", no_nullspace)
     monkeypatch.setattr(symmetrizer, "fresh_sample_verdicts", recording)
-    rs = symmetrizer_relation_space(3, CFG)
+    rs = symmetrizer_relation_space(3, SEED)
     assert list(rs.relations) == PINNED_RELATIONS[3]
     assert calls == [rel_dim_formula(3)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cross_engine_span_agreement(n):
-    ys = symmetrizer_relation_space(n, CFG)
-    mc = find_relations(n, n + 1, CFG)
+    ys = symmetrizer_relation_space(n, SEED)
+    mc = find_relations(n, n + 1, SEED)
     r = rel_dim_formula(n)
     assert rank_of([list(v) for v in ys.relations]) == r
     assert rank_of([list(v) for v in mc.relations]) == r
@@ -210,7 +210,7 @@ def test_cross_engine_span_agreement(n):
 
 
 def test_symmetrizer_projections_land_in_mc_span():
-    mc = find_relations(2, 3, CFG)
+    mc = find_relations(2, 3, SEED)
     span = [list(v) for v in mc.relations]
     for t in enumerate_standard_tableaux(two_column_shape(2)):
         vec = project_to_invariants(young_symmetrizer(t), 2)
@@ -224,4 +224,4 @@ def test_long_run_gate(monkeypatch):
 
     monkeypatch.setattr(symmetrizer, "enumerate_standard_tableaux", never)
     with pytest.raises(EnumerationCapError):
-        symmetrizer_relation_space(7, CFG)
+        symmetrizer_relation_space(7, SEED)

@@ -6,19 +6,18 @@ import re
 
 import pytest
 
-from trace_relations.montecarlo import METHOD_MONTECARLO, RelationSet, SamplerConfig
+from trace_relations.montecarlo import METHOD_MONTECARLO, RelationSet
 from trace_relations.symmetrizer import enumerate_standard_tableaux
 from trace_relations.words import X, XT, InvariantMonomial, TraceWord
 
-RELATION_SET_ARGS = (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1, 10)
+RELATION_SET_ARGS = (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1)
 
 # (class, fields, constructor arguments, arguments that differ in one field)
 CASES = [
     (TraceWord, ("letters",), ((XT, X, XT),), ((X, X, X),)),
     (InvariantMonomial, ("words",), (((X,), (XT, X)),), (((X,), (X, X)),)),
-    (SamplerConfig, ("seed", "entry_bound"), (7, 10), (7, 20)),
-    (RelationSet, ("n", "d", "relations", "method", "seed", "entry_bound"),
-     RELATION_SET_ARGS, (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 2, 10)),
+    (RelationSet, ("n", "d", "relations", "method", "seed"),
+     RELATION_SET_ARGS, (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 2)),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -73,14 +72,12 @@ def test_relation_set_cached_basis_is_not_a_field():
 def test_constructors_canonicalise_their_fields():
     assert TraceWord([XT, X, XT]).letters == (X, X, XT)
     assert InvariantMonomial([[X], (XT, X)]) == InvariantMonomial([(X, XT), (X,)])
-    assert SamplerConfig(seed=3).entry_bound == 10
 
 
 @pytest.mark.parametrize("build,message", [
     (lambda: TraceWord(()), "trace word must have at least one letter"),
     (lambda: TraceWord((X, 2)), "letters must be X or XT"),
     (lambda: InvariantMonomial(()), "invariant monomial needs at least one word"),
-    (lambda: SamplerConfig(seed=1, entry_bound=0), "entry_bound must be >= 1"),
     (lambda: enumerate_standard_tableaux((1, 2)), "parts must be weakly decreasing"),
 ])
 def test_validation_errors_are_unchanged(build, message):
