@@ -17,7 +17,7 @@ from .montecarlo import (ENTRY_BOUND, METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          fresh_sample_verdicts, rank_of, rel_dimension_table,
                          stream)
 from .symmetrizer import symmetrizer_relation_space
-from .words import EnumerationCapError, enumerate_invariant_basis
+from .words import EnumerationCapError, encode, enumerate_invariant_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,8 +47,7 @@ def _emit(text, output):
 
 
 def cmd_enumerate(args):
-    basis = enumerate_invariant_basis(args.d)
-    ids = [m.encode() for m in basis]
+    ids = list(map(encode, enumerate_invariant_basis(args.d)))
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "k": len(ids), "classes": ids},
                          sort_keys=True, separators=(",", ":")) + "\n", args.output)

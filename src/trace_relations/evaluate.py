@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul as _mul
 
-from .words import X, XT, InvariantMonomial, enumerate_invariant_basis
+from .words import X, XT, canonicalize_letters, enumerate_invariant_basis
 
 
 @lru_cache(maxsize=None)
@@ -148,17 +148,17 @@ def _compile_basis(d):
     plan = _Plan()
     traces = {}
     for m in basis:
-        for w in m.words:
-            if w.letters not in traces:
-                traces[w.letters] = name = f"t{len(traces)}"
-                plan.lines.append(f"{name} = {plan.trace(plan.split(w.letters))}")
+        for w in m:
+            if w not in traces:
+                traces[w] = name = f"t{len(traces)}"
+                plan.lines.append(f"{name} = {plan.trace(plan.split(w))}")
     products = {}           # (prefix, trace) -> name of their product
     values = []
     for m in basis:
-        words = reversed(m.words)
-        value = traces[next(words).letters]
+        words = reversed(m)
+        value = traces[next(words)]
         for w in words:
-            key = value, traces[w.letters]
+            key = value, traces[w]
             if key not in products:
                 products[key] = f"m{len(products)}"
                 plan.lines.append(f"{products[key]} = {value} * {key[1]}")
@@ -185,12 +185,13 @@ def evaluate_basis_row(d, x):
 
 
 def evaluate_monomial(monomial, x):
-    """Value of one basis invariant on one sample: its coordinate of the
-    degree's row, so the degree must be within BASIS_CAP."""
-    d = monomial.degree
+    """Value of one basis invariant, a necklace class as `words.monomial`
+    gives it, on one sample: its coordinate of the degree's row, so the
+    degree must be within BASIS_CAP."""
+    d = sum(map(len, monomial))
     return evaluate_basis_row(d, x)[enumerate_invariant_basis(d).index(monomial)]
 
 
 def evaluate_word(word, x):
     """Tr of the matrix product spelled by the word (X -> x, XT -> x^T)."""
-    return evaluate_monomial(InvariantMonomial((word,)), x)
+    return evaluate_monomial((canonicalize_letters(word),), x)

@@ -20,7 +20,7 @@ from .dimensions import stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
 from .evaluate import evaluate_basis_row, evaluate_monomial  # noqa: F401
-from .words import _set, _Value, enumerate_invariant_basis
+from .words import encode, enumerate_invariant_basis
 
 METHOD_MONTECARLO = "montecarlo"
 METHOD_SYMMETRIZER = "symmetrizer"
@@ -431,23 +431,45 @@ def _coefficient(entry):
     raise ValueError("relation entries must be integers or decimal-integer strings")
 
 
-class RelationSet(_Value):
+class RelationSet:
     """Certified relation basis plus the seed that produced it.
 
-    relations is a tuple of normalized integer tuples.  No __slots__: the
-    cached `basis` lives in the instance __dict__.
+    relations is a tuple of normalized integer tuples.  Instances are equal
+    when they are of the same class with equal fields, and equal instances
+    hash equal.  Assigning or deleting any attribute raises AttributeError.
+    No __slots__: the cached `basis` lives in the instance __dict__.
     """
 
     _fields = ("n", "d", "relations", "method", "seed")
 
     def __init__(self, n, d, relations, method, seed):
-        for name, value in zip(self._fields, (n, d, relations, method, seed)):
-            _set(self, name, value)
+        vars(self).update(n=n, d=d, relations=relations, method=method, seed=seed)
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def basis(self):
         """Class-id strings of the degree-d invariant basis, coordinate order."""
-        return tuple(m.encode() for m in enumerate_invariant_basis(self.d))
+        return tuple(map(encode, enumerate_invariant_basis(self.d)))
 
     def to_json(self):
         obj = {

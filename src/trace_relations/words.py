@@ -3,9 +3,10 @@
 A degree-d invariant of the orthogonal conjugation action is a product of
 traces of monomials in x and x^T with d letters in total.  Each trace factor
 is a cyclic word over the two-letter alphabet {X, XT}; the whole product is a
-multiset of such words.  Words are stored in a canonical form that quotients
-out rotation (cyclicity of the trace) and reversal-with-letter-swap
-(Tr(W) = Tr(W^T)), so equal invariants compare equal.
+multiset of such words.  A word is its canonical letter tuple, which
+quotients out rotation (cyclicity of the trace) and reversal-with-letter-swap
+(Tr(W) = Tr(W^T)), and a necklace class is the sorted tuple of its words, so
+equal invariants compare equal.
 
 Fixed-point-free involutions on 2d points (perfect matchings) encode the
 same data as tensor contraction patterns: slots 2i and 2i+1 (0-indexed) are
@@ -21,7 +22,7 @@ from functools import lru_cache
 X = 0   # letter for a factor x
 XT = 1  # letter for a factor x^T
 
-_LETTER_CHARS = {X: "x", XT: "t"}
+_LETTER_CHARS = "xt"   # indexed by letter
 
 BASIS_CAP = 14       # direct word-multiset generation stays cheap
 
@@ -51,86 +52,25 @@ def canonicalize_letters(letters):
     return best
 
 
-class _Value:
-    """Base of the package's immutable value classes.
-
-    A subclass names its fields in `_fields` and sets each once in its
-    __init__ with `_set`.  Instances are equal when they are of the same
-    class with equal fields, and equal instances hash equal.  Assigning or
-    deleting any attribute raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-_set = object.__setattr__
-
-
-class TraceWord(_Value):
-    """One trace factor; letters are stored canonically."""
-
-    __slots__ = _fields = ("letters",)
-
-    def __init__(self, letters):
-        _set(self, "letters", canonicalize_letters(letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def encode(self):
-        return "".join(_LETTER_CHARS[l] for l in self.letters)
-
-
 def _word_key(word):
     # Longer words first, then lexicographic with X < XT.  This matches the
     # bit-exact class-id serialization ("xx*x", not "x*xx").
-    return (-len(word), word.letters)
+    return (-len(word), word)
 
 
-class InvariantMonomial(_Value):
-    """Multiset of canonical trace words; one necklace class."""
+def monomial(words):
+    """The necklace class of a multiset of trace words: the tuple of their
+    canonical letter tuples, sorted by _word_key."""
+    ws = tuple(sorted(map(canonicalize_letters, words), key=_word_key))
+    if not ws:
+        raise ValueError("invariant monomial needs at least one word")
+    return ws
 
-    __slots__ = _fields = ("words",)
 
-    def __init__(self, words):
-        # A TraceWord is canonical already; anything else is canonicalised.
-        ws = tuple(sorted((w if isinstance(w, TraceWord) else TraceWord(w)
-                           for w in words), key=_word_key))
-        if not ws:
-            raise ValueError("invariant monomial needs at least one word")
-        _set(self, "words", ws)
-
-    @property
-    def degree(self):
-        return sum(len(w) for w in self.words)
-
-    def sort_key(self):
-        return tuple(_word_key(w) for w in self.words)
-
-    def encode(self):
-        return "*".join(w.encode() for w in self.words)
+def encode(m):
+    """Class id of a necklace class: its words spelled in x and t, joined
+    by '*'."""
+    return "*".join("".join(_LETTER_CHARS[l] for l in w) for w in m)
 
 
 def tau(d):
@@ -144,15 +84,19 @@ def tau(d):
 
 
 def involution_to_monomial(p):
-    """Trace-word multiset of a matching (pairing tuple p) under the
-    left/right slot convention.
+    """Necklace class of a matching (pairing tuple p) under the left/right
+    slot convention; ValueError unless p is a fixed-point-free involution.
 
     Factor i owns slots 2i (left / row index) and 2i+1 (right / column index).
     Entering a factor through its left slot contributes the letter X and exits
     through the right slot; entering through the right slot contributes XT and
     exits left.  Each traversal cycle closes up into one trace word.
     """
-    d = len(p) // 2
+    size = len(p)
+    if not size or size % 2 or any(not 0 <= b < size or b == a or p[b] != a
+                                   for a, b in enumerate(p)):
+        raise ValueError(f"not a fixed-point-free involution: {p!r}")
+    d = size // 2
     seen = [False] * d
     words = []
     for start in range(d):
@@ -168,8 +112,8 @@ def involution_to_monomial(p):
             f, entered_left = s // 2, (s % 2 == 0)
             if f == start:
                 break
-        words.append(TraceWord(tuple(letters)))
-    return InvariantMonomial(tuple(words))
+        words.append(letters)
+    return monomial(words)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +121,7 @@ def canonical_words(length):
     """All canonical trace words of the given length, sorted."""
     found = {canonicalize_letters(bits)
              for bits in itertools.product((X, XT), repeat=length)}
-    return tuple(TraceWord(w) for w in sorted(found))
+    return tuple(sorted(found))
 
 
 def enumerate_invariant_basis(d):
@@ -185,7 +129,7 @@ def enumerate_invariant_basis(d):
 
     Generated directly as multisets of canonical words, without enumerating
     the (2d-1)!! matchings.  The cap is checked on every call; below it, each
-    d has one cached tuple, so callers share the very monomial objects.
+    d has one cached tuple, so callers share the very class tuples.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -203,7 +147,7 @@ def _invariant_basis(d):
 
     def rec(i, remaining, acc):
         if remaining == 0:
-            out.append(InvariantMonomial(tuple(acc)))
+            out.append(tuple(acc))    # pool order is _word_key order
             return
         for j in range(i, len(pool)):
             w = pool[j]
@@ -211,9 +155,9 @@ def _invariant_basis(d):
                 rec(j, remaining - len(w), acc + [w])
 
     rec(0, d, [])
-    return tuple(sorted(out, key=InvariantMonomial.sort_key))
+    return tuple(sorted(out, key=lambda m: tuple(map(_word_key, m))))
 
 
 def class_of_involution(p):
     """Canonical class id (serialized necklace class) of a matching."""
-    return involution_to_monomial(p).encode()
+    return encode(involution_to_monomial(p))

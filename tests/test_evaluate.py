@@ -11,8 +11,8 @@ from trace_relations.evaluate import (
     _compile_basis, _kernels, _Plan, _reverse_swap,
     evaluate_basis_row, evaluate_monomial, evaluate_word)
 from trace_relations.words import (
-    X, XT, InvariantMonomial, TraceWord, canonical_words,
-    enumerate_invariant_basis, involution_to_monomial, tau)
+    X, XT, canonical_words, enumerate_invariant_basis, involution_to_monomial,
+    monomial, tau)
 
 from oracles import contract_matching, enumerate_fpf_involutions, transpose
 
@@ -28,21 +28,25 @@ def random_int_matrix(n, rng, bound=5):
 
 def test_evaluate_word_examples():
     ident = mat([[1, 0], [0, 1]])
-    assert evaluate_word(TraceWord((X,)), ident) == 2
+    assert evaluate_word((X,), ident) == 2
     nilp = mat([[0, 1], [0, 0]])
-    assert evaluate_word(TraceWord((X, XT)), nilp) == 1
+    assert evaluate_word((X, XT), nilp) == 1
     diag = mat([[1, 0], [0, 2]])
-    assert evaluate_word(TraceWord((X, X, X)), diag) == 9
+    assert evaluate_word((X, X, X), diag) == 9
+    # a raw letter tuple is canonicalised: (XT, X, XT) is a rotation of the
+    # reversed, letter-swapped (X, X, XT)
+    x = mat([[1, 2], [3, 5]])
+    assert evaluate_word((XT, X, XT), x) == evaluate_word((X, X, XT), x)
 
 
 def test_evaluate_monomial_examples():
     diag = mat([[1, 0], [0, 2]])
-    cube = InvariantMonomial((TraceWord((X,)),) * 3)
+    cube = monomial(((X,),) * 3)
     assert evaluate_monomial(cube, diag) == 27
-    sq_lin = InvariantMonomial((TraceWord((X, X)), TraceWord((X,))))
+    sq_lin = monomial(((X, X), (X,)))
     assert evaluate_monomial(sq_lin, diag) == 15
     nilp = mat([[0, 1], [0, 0]])
-    mixed = InvariantMonomial((TraceWord((X, XT)), TraceWord((X,))))
+    mixed = monomial(((X, XT), (X,)))
     assert evaluate_monomial(mixed, nilp) == 0
 
 
@@ -64,7 +68,7 @@ def test_transpose_letter_swap(a, b, c, d):
     xt = transpose(x)
     for w in [(X,), (X, XT), (X, X, XT), (X, XT, XT, X)]:
         swapped = tuple(1 - l for l in w)
-        assert evaluate_word(TraceWord(w), xt) == evaluate_word(TraceWord(swapped), x)
+        assert evaluate_word(w, xt) == evaluate_word(swapped, x)
 
 
 def signed_permutation_matrices(n, rng, count):
@@ -117,15 +121,15 @@ def test_contraction_certifies_bijection(d, n):
             assert contract_matching(inv, x) == evaluate_monomial(m, x)
 
 
-def _naive_monomial(monomial, x):
+def _naive_monomial(m, x):
     # reference: one matrix product per letter of every word, no sharing
     n = isqrt(len(x))
     rows = tuple(x[i * n:(i + 1) * n] for i in range(n))
     xt = tuple(zip(*rows))
     val = 1
-    for w in monomial.words:
+    for w in m:
         prod = None
-        for letter in w.letters:
+        for letter in w:
             f = rows if letter == X else xt
             prod = f if prod is None else tuple(
                 tuple(sum(prod[i][l] * f[l][j] for l in range(n)) for j in range(n))
@@ -183,16 +187,16 @@ def test_every_split_traces_its_word(shared):
         for word in canonical_words(length):
             if not shared:
                 plan, exprs = _Plan(), []
-            rotations = _rotations_and_reflections(word.letters)
+            rotations = _rotations_and_reflections(word)
             exprs += [plan.trace(r) for r in rotations]
             words += [word] * len(rotations)
             if not shared:
                 for x in samples:
-                    expected = _naive_monomial(InvariantMonomial((word,)), x)
+                    expected = _naive_monomial((word,), x)
                     assert _plan_values(plan, exprs, x) == [expected] * len(exprs)
     if shared:
         for x in samples:
-            expected = [_naive_monomial(InvariantMonomial((w,)), x) for w in words]
+            expected = [_naive_monomial((w,), x) for w in words]
             assert _plan_values(plan, exprs, x) == expected
         # both trace forms ran: Tr(A . B) and Tr(A . B^T)
         assert any(e.startswith("trace_mul(") for e in exprs)
@@ -292,4 +296,4 @@ def test_exact_mode_integer_matrices_give_integers():
 
 def test_complex_mode_evaluation():
     x = mat([[complex(0, 1), 0], [0, complex(0, -1)]])
-    assert evaluate_word(TraceWord((X, X)), x) == pytest.approx(-2)
+    assert evaluate_word((X, X), x) == pytest.approx(-2)

@@ -8,7 +8,7 @@ from trace_relations.symmetrizer import (
     enumerate_standard_tableaux, invert, project_tableau,
     project_to_invariants, row_group, symmetrizer_relation_space,
     two_column_shape, young_symmetrizer)
-from trace_relations.words import EnumerationCapError, enumerate_invariant_basis
+from trace_relations.words import X, EnumerationCapError, enumerate_invariant_basis
 
 from oracles import (all_partitions, quasi_idempotency_failures,
                      symmetrizer_term_count, two_part_partitions)
@@ -120,7 +120,7 @@ def test_project_identity_term():
     for n in (1, 2):
         d = n + 1
         basis = enumerate_invariant_basis(d)
-        idx = [m.encode() for m in basis].index("*".join(["x"] * d))
+        idx = basis.index(((X,),) * d)
         ident = tuple(range(2 * d))
         vec = project_to_invariants({ident: 1}, n)
         expected = tuple(1 if i == idx else 0 for i in range(len(basis)))
@@ -197,6 +197,38 @@ def test_symmetrizer_selects_without_nullspace_and_certifies_once(monkeypatch):
     rs = symmetrizer_relation_space(3, SEED)
     assert list(rs.relations) == PINNED_RELATIONS[3]
     assert calls == [rel_dim_formula(3)]
+
+
+def test_symmetrizer_stops_at_the_closed_form_rank(monkeypatch):
+    # A GF(p) rank never exceeds the rank over Q, rel_dim_formula(n), so
+    # projecting stops once it is reached: 4 of the 14 tableaux at n = 3.
+    calls = []
+    true_project = symmetrizer.project_tableau
+
+    def counting(t):
+        calls.append(t)
+        return true_project(t)
+
+    monkeypatch.setattr(symmetrizer, "project_tableau", counting)
+    assert list(symmetrizer_relation_space(3, SEED).relations) == PINNED_RELATIONS[3]
+    assert len(calls) == 4
+
+
+def test_symmetrizer_rank_short_of_the_closed_form_fails(monkeypatch):
+    # As if the prime lost rank: only the first projection raises it.
+    true_project = symmetrizer.project_tableau
+    calls = []
+
+    def first_only(t):
+        calls.append(t)
+        vec = true_project(t)
+        return vec if len(calls) == 1 else (0,) * len(vec)
+
+    monkeypatch.setattr(symmetrizer, "project_tableau", first_only)
+    with pytest.raises(montecarlo.KernelCertificationError,
+                       match="span rank 1, expected 3"):
+        symmetrizer_relation_space(3, SEED)
+    assert len(calls) == 14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,6 +1,6 @@
-"""Value semantics of the package's immutable classes: equality by class and
-fields, equal hashes, read-only fields, a repr that names both, and the
-constructors' validation."""
+"""Value semantics of the package's immutable class: equality by class and
+fields, equal hashes, read-only fields, a repr that names both; and the
+validation of the word and class constructors."""
 
 import re
 
@@ -8,14 +8,12 @@ import pytest
 
 from trace_relations.montecarlo import METHOD_MONTECARLO, RelationSet
 from trace_relations.symmetrizer import enumerate_standard_tableaux
-from trace_relations.words import X, XT, InvariantMonomial, TraceWord
+from trace_relations.words import X, XT, canonicalize_letters, monomial
 
 RELATION_SET_ARGS = (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 1)
 
 # (class, fields, constructor arguments, arguments that differ in one field)
 CASES = [
-    (TraceWord, ("letters",), ((XT, X, XT),), ((X, X, X),)),
-    (InvariantMonomial, ("words",), (((X,), (XT, X)),), (((X,), (X, X)),)),
     (RelationSet, ("n", "d", "relations", "method", "seed"),
      RELATION_SET_ARGS, (2, 3, ((1, 0, -1, 0, 0),), METHOD_MONTECARLO, 2)),
 ]
@@ -70,14 +68,14 @@ def test_relation_set_cached_basis_is_not_a_field():
 
 
 def test_constructors_canonicalise_their_fields():
-    assert TraceWord([XT, X, XT]).letters == (X, X, XT)
-    assert InvariantMonomial([[X], (XT, X)]) == InvariantMonomial([(X, XT), (X,)])
+    assert canonicalize_letters([XT, X, XT]) == (X, X, XT)
+    assert monomial([[X], (XT, X)]) == monomial([(X, XT), (X,)]) == ((X, XT), (X,))
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: TraceWord(()), "trace word must have at least one letter"),
-    (lambda: TraceWord((X, 2)), "letters must be X or XT"),
-    (lambda: InvariantMonomial(()), "invariant monomial needs at least one word"),
+    (lambda: canonicalize_letters(()), "trace word must have at least one letter"),
+    (lambda: monomial([(X, 2)]), "letters must be X or XT"),
+    (lambda: monomial(()), "invariant monomial needs at least one word"),
     (lambda: enumerate_standard_tableaux((1, 2)), "parts must be weakly decreasing"),
 ])
 def test_validation_errors_are_unchanged(build, message):

@@ -7,9 +7,8 @@ from trace_relations import words
 from trace_relations.evaluate import evaluate_word
 from trace_relations.symmetrizer import _swap_labels
 from trace_relations.words import (
-    X, XT, EnumerationCapError, InvariantMonomial, TraceWord,
-    canonicalize_letters, class_of_involution, enumerate_invariant_basis,
-    involution_to_monomial, tau)
+    X, XT, EnumerationCapError, canonicalize_letters, class_of_involution,
+    encode, enumerate_invariant_basis, involution_to_monomial, monomial, tau)
 
 from oracles import enumerate_fpf_involutions
 
@@ -95,7 +94,15 @@ def test_involution_counts(d, count):
 
 
 def test_involution_to_monomial_degree1():
-    assert involution_to_monomial(tau(1)).encode() == "x"
+    assert involution_to_monomial(tau(1)) == ((X,),)
+    assert encode(involution_to_monomial(tau(1))) == "x"
+
+
+@pytest.mark.parametrize("p", [(1, 2, 3, 0), (0, 1), (), (1, 0, 2), (1, 0, 3, 4)])
+def test_involution_to_monomial_refuses_other_pairings(p):
+    # not an involution, fixed points, empty, odd length, out of range
+    with pytest.raises(ValueError, match="not a fixed-point-free involution"):
+        involution_to_monomial(p)
 
 
 def test_involution_to_monomial_degree2_classes():
@@ -128,7 +135,7 @@ def test_basis_cap_env(monkeypatch):
     assert len(enumerate_invariant_basis(3)) == 5
     # a word is evaluated through its degree's basis, so the cap holds there
     with pytest.raises(EnumerationCapError):
-        evaluate_word(TraceWord((X,) * 15), (1,))
+        evaluate_word((X,) * 15, (1,))
     monkeypatch.setattr(words, "BASIS_CAP", 2)
     with pytest.raises(EnumerationCapError):
         enumerate_invariant_basis(3)
@@ -147,22 +154,23 @@ def test_basis_is_one_cached_tuple_per_degree(monkeypatch):
 
 
 def test_basis_order_degree3():
-    assert [m.encode() for m in enumerate_invariant_basis(3)] == \
+    assert [encode(m) for m in enumerate_invariant_basis(3)] == \
         ["xxx", "xxt", "xx*x", "xt*x", "x*x*x"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_basis_equals_involution_image(d):
-    direct = {m.encode() for m in enumerate_invariant_basis(d)}
+    direct = set(map(encode, enumerate_invariant_basis(d)))
     via_inv = {class_of_involution(i) for i in enumerate_fpf_involutions(d)}
     assert direct == via_inv
 
 
 def test_basis_degrees_and_canonical_words():
     for m in enumerate_invariant_basis(5):
-        assert m.degree == 5
-        for w in m.words:
-            assert w.letters == canonicalize_letters(w.letters)
+        assert sum(map(len, m)) == 5
+        assert monomial(m) == m
+        for w in m:
+            assert w == canonicalize_letters(w)
 
 
 def _pair_permutation_conjugate(p, g):
@@ -188,15 +196,13 @@ def test_class_constant_on_factor_permutation_orbits(d):
 
 
 def test_monomial_word_order():
-    m = InvariantMonomial((TraceWord((X,)), TraceWord((X, X))))
-    assert m.encode() == "xx*x"
+    m = monomial(((X,), (X, X)))
+    assert m == ((X, X), (X,))
+    assert encode(m) == "xx*x"
 
 
 def test_monomial_canonicalises_letter_tuples_and_keeps_words():
     # (XT, X) and (X, XT, XT) are not canonical; (XT,) is Tr(x^T) = Tr(x)
-    m = InvariantMonomial(((XT,), (XT, X), (X, XT, XT)))
-    assert m.encode() == "xxt*xt*x"
-    assert m == InvariantMonomial((TraceWord((X, X, XT)), TraceWord((X, XT)),
-                                   TraceWord((X,))))
-    word = TraceWord((XT, XT, X))
-    assert InvariantMonomial((word, (X,))).words[0] is word
+    m = monomial(((XT,), (XT, X), (X, XT, XT)))
+    assert encode(m) == "xxt*xt*x"
+    assert m == ((X, X, XT), (X, XT), (X,))
