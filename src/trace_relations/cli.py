@@ -34,7 +34,7 @@ def _seed_from(args):
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(63)
-        print(f"# seed not given; using recorded seed {seed}", file=sys.stderr)
+        print(f"# seed not given; using fresh seed {seed}", file=sys.stderr)
     return seed
 
 
@@ -117,7 +117,7 @@ def cmd_verify(args):
     # d <= n + 1.  rank(M) = rank(M^T); the transpose's kernel is empty when
     # the kernel and the relations together are independent, so no vector
     # is lifted.
-    ambient = certified_kernel(rs.n + 1, rs.d, seed) if rs.d > rs.n + 1 else []
+    ambient = certified_kernel(rs.n + 1, rs.d, seed)[0] if rs.d > rs.n + 1 else []
     rank = rank_of(list(zip(*ambient, *rs.relations))) - len(ambient)
     dependent = rank < len(rs.relations)
     if dependent:

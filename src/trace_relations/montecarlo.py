@@ -180,6 +180,13 @@ class _Echelon:
     def rank(self):
         return len(self.pivots)
 
+    def copy(self):
+        """An echelon form to feed further rows without changing this one;
+        packed rows are ints, so only the two lists are copied."""
+        other = _Echelon.__new__(_Echelon)
+        vars(other).update(vars(self), pivots=list(self.pivots), rows=list(self.rows))
+        return other
+
     def _pack(self, entries):
         return int.from_bytes(_slot_bytes(entries, self.size), "little")
 
@@ -529,17 +536,22 @@ MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, seed, b):
-    """A prefix of the k + IDLE_ROWS rows drawn from stream(seed, "rows")
-    with entry bound b (build_evaluation_matrix's rows when b = ENTRY_BOUND),
-    and its echelon form over GF(FIRST_PRIME).
+def _draw_rows(n, d, seed, b, base=None):
+    """The rows of `base`, then a prefix of the k + IDLE_ROWS rows drawn
+    from stream(seed, "rows") with entry bound b (build_evaluation_matrix's
+    rows when b = ENTRY_BOUND), and the echelon form over GF(FIRST_PRIME) of
+    them all.
 
-    Rows are drawn until the rank reaches k, or IDLE_ROWS consecutive rows
-    leave it unchanged, or k + IDLE_ROWS rows are drawn.
+    `base`, if given, is the (rows, echelon) pair of `certified_kernel` on
+    smaller samples; it is copied, not changed.  Rows are drawn until the
+    rank reaches k, or IDLE_ROWS consecutive rows leave it unchanged, or
+    k + IDLE_ROWS rows are drawn.
     """
     k = len(enumerate_invariant_basis(d))
-    echelon = _Echelon(k, FIRST_PRIME)
-    rows = []
+    if base is None:
+        rows, echelon = [], _Echelon(k, FIRST_PRIME)
+    else:
+        rows, echelon = list(base[0]), base[1].copy()
     idle = 0
     rng = stream(seed, "rows")
     for row in islice(_evaluation_rows(n, d, rng, b), k + IDLE_ROWS):
@@ -550,10 +562,12 @@ def _draw_rows(n, d, seed, b):
     return rows, echelon
 
 
-def certified_kernel(n, d, seed):
-    """Nullspace of the evaluation matrix on n x n samples, with every vector
-    re-verified on fresh draws; escalates the entry bound (doubling,
-    reseeded) on verification failure.
+def certified_kernel(n, d, seed, base=None):
+    """(vectors, (rows, echelon)): the nullspace of the evaluation matrix on
+    n x n samples, with every vector re-verified on fresh draws, and the
+    rows it is the exact kernel of with their echelon form over
+    GF(FIRST_PRIME).  Escalates the entry bound (doubling, reseeded) on
+    verification failure.
 
     Rows are drawn one at a time, and drawing stops once IDLE_ROWS
     consecutive rows leave the GF(p) rank unchanged, or the rank reaches k;
@@ -562,15 +576,22 @@ def certified_kernel(n, d, seed):
     the true one.  A prefix that stops before the rank has settled only
     yields extra vectors, which certification rejects, so stopping early
     can cost escalations but never changes the result.
+
+    `base`, if given, is the (rows, echelon) of a kernel certified on
+    smaller samples, m x m with m < n.  Every attempt stacks its drawn rows
+    under those rows.  They are n x n rows too: x and diag(x, 0) have the
+    same trace words.  So the stacked kernel still contains the true one,
+    and since `nullspace` checks M v = 0 exactly on every stacked row, the
+    result lies in the span of the base's kernel by construction.
     """
     for attempt in range(MAX_ESCALATIONS + 1):
         attempt_seed = f"{seed}:n{n}:attempt{attempt}"
         b = ENTRY_BOUND << attempt
-        rows, echelon = _draw_rows(n, d, attempt_seed, b)
+        rows, echelon = _draw_rows(n, d, attempt_seed, b, base)
         vectors = nullspace(rows, echelon)
         vrng = stream(attempt_seed, "verify")
         if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
-            return vectors
+            return vectors, (rows, echelon)
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "
         f"{MAX_ESCALATIONS} escalations; sampler configuration looks pathological")
@@ -591,57 +612,47 @@ def find_relations(n, d, seed):
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    relations, _ = _relations(n, d, seed)
+    kernel = [] if stable_range(d, n) else certified_kernel(n, d, seed)[0]
+    relations = kernel
+    if d > n + 1:
+        ambient, _ = certified_kernel(n + 1, d, seed)
+        # Every (n+1) relation holds on n x n matrices (embed x as
+        # diag(x, 0)), so the ambient kernel lies in the n kernel.  Check
+        # it: the quotient below is only right if it holds.
+        if rank_of(kernel + ambient) != len(kernel):
+            raise KernelCertificationError(
+                f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
+                f"n={n}; sampler configuration looks pathological")
+        # nullspace gives one vector per free column, whose last nonzero
+        # coordinate is that column.  Given the containment, a kernel vector
+        # is independent of the ambient kernel and the earlier kernel
+        # vectors exactly when no ambient vector ends at its free column.
+        taken = {_last_nonzero(u) for u in ambient}
+        relations = [v for v in kernel if _last_nonzero(v) not in taken]
     return RelationSet(n=n, d=d, relations=tuple(relations),
                        method=METHOD_MONTECARLO, seed=seed)
-
-
-def _relations(n, d, seed, kernel=None):
-    """(relation vectors of find_relations, the certified kernel on
-    (n+1) x (n+1) samples, or None for d <= n + 1); ([], None) without a
-    computation in the stable range, d <= n.
-
-    `kernel`, if given, stands in for the certified kernel on n x n
-    samples.  A certified kernel is the unique reduced basis of its space,
-    whatever the seed that drew it, so a caller may pass one certified for
-    another cell.
-    """
-    if stable_range(d, n):
-        return [], None
-    if kernel is None:
-        kernel = certified_kernel(n, d, seed)
-    if d <= n + 1:
-        return kernel, None
-    ambient = certified_kernel(n + 1, d, seed)
-    # Every (n+1) relation holds on n x n matrices (embed x as diag(x, 0)),
-    # so the ambient kernel lies in the n kernel.  Check it: the quotient
-    # below is only right if it holds.
-    if rank_of(kernel + ambient) != len(kernel):
-        raise KernelCertificationError(
-            f"kernel for n={n + 1}, d={d} does not lie in the kernel for "
-            f"n={n}; sampler configuration looks pathological")
-    # nullspace gives one vector per free column, whose last nonzero
-    # coordinate is that column.  Given the containment, a kernel vector is
-    # independent of the ambient kernel and the earlier kernel vectors
-    # exactly when no ambient vector ends at its free column.
-    taken = {_last_nonzero(u) for u in ambient}
-    return [v for v in kernel if _last_nonzero(v) not in taken], ambient
 
 
 def rel_dimension_table(max_d, max_n, seed):
     """dict {(d, n): relation count} for 1 <= d <= max_d, 1 <= n <= max_n.
 
-    Stable-range cells (d <= n) are 0 without a computation.  Each (n, d)
-    kernel is certified once: cell (d, n)'s kernel on (n+1) x (n+1)
-    samples is cell (d, n+1)'s own kernel.
+    Cell (d, n) counts dim K_n - dim K_{n+1}, where K_m is the degree-d
+    kernel on m x m samples; K_m = 0 for m >= d (stable range).  For each
+    degree, K_1, ..., K_{min(max_n + 1, d - 1)} are certified as one chain:
+    each K_{m+1} is certified on top of K_m's rows (`certified_kernel`'s
+    `base`), so it lies in span(K_m) by construction and the count is a
+    difference of dimensions, with no rank computation.
     """
     table = {}
     # largest degree first, so the basis cap fails before any cell is computed
     for d in range(max_d, 0, -1):
         enumerate_invariant_basis(d)    # only the cap check
-        carried = None      # certified kernel on n x n samples, or None
+        dims = [0] * (max_n + 2)        # dims[m] = dim K_m; index 0 unused
+        base = None
+        for m in range(1, min(max_n + 1, d - 1) + 1):
+            kernel_seed = stream(seed, "table", d, m).getrandbits(63)
+            kernel, base = certified_kernel(m, d, kernel_seed, base)
+            dims[m] = len(kernel)
         for n in range(1, max_n + 1):
-            cell_seed = stream(seed, "table", d, n).getrandbits(63)
-            relations, carried = _relations(n, d, cell_seed, carried)
-            table[(d, n)] = len(relations)
+            table[(d, n)] = dims[n] - dims[n + 1]
     return table

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import os
@@ -19,6 +20,7 @@ from trace_relations.montecarlo import (
 from trace_relations.words import enumerate_invariant_basis
 
 from oracles import annihilates
+from test_replay import DIMS_D7_N2_SEED5
 
 SEED = 42
 
@@ -394,7 +396,7 @@ def test_relations_vanish_only_on_smaller_matrices():
     # selected basis is independent of the kernel one dimension up
     rs = find_relations(1, 4, SEED)
     assert len(rs.relations) == 5
-    up = certified_kernel(2, 4, SEED)
+    up, _ = certified_kernel(2, 4, SEED)
     stack = [list(v) for v in up] + [list(v) for v in rs.relations]
     assert rank_of(stack) == len(up) + len(rs.relations)
 
@@ -416,8 +418,9 @@ def test_quotient_matches_greedy_rank_loop(monkeypatch, n, d):
     true_kernel = montecarlo.certified_kernel
 
     def recording(m, *args, **kwargs):
-        kernels[m] = true_kernel(m, *args, **kwargs)
-        return kernels[m]
+        result = true_kernel(m, *args, **kwargs)
+        kernels[m] = result[0]
+        return result
 
     monkeypatch.setattr(montecarlo, "certified_kernel", recording)
     rs = find_relations(n, d, SEED)
@@ -431,8 +434,8 @@ def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys
     true_kernel = montecarlo.certified_kernel
     for spurious in (_unit, _near_miss):
         def padded(m, *args, **kwargs):
-            kernel = true_kernel(m, *args, **kwargs)
-            return kernel + [spurious(kernel)] if m == 2 else kernel
+            kernel, base = true_kernel(m, *args, **kwargs)
+            return (kernel + [spurious(kernel)] if m == 2 else kernel), base
 
         monkeypatch.setattr(montecarlo, "certified_kernel", padded)
         with pytest.raises(KernelCertificationError):
@@ -441,23 +444,37 @@ def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_dims_rejects_kernel_one_up_outside_the_carried_kernel(monkeypatch, capsys):
-    # cell (4, 2) takes its 2 x 2 kernel from cell (4, 1); a 3 x 3 kernel
-    # holding basis invariant 0 alone (no relation) must fail there
-    calls = collections.Counter()
+def test_dims_nests_each_kernel_in_the_one_below(monkeypatch, tmp_path):
+    # dims certifies each K_{m+1} on top of K_m's rows, so K_{m+1} lies in
+    # span(K_m) by construction: no rank_of runs, and the table is unchanged
+    def no_rank(rows):
+        raise AssertionError("dims ran rank_of")
+
+    kernels = {}    # (m, d) -> (certified_kernel's result, its base)
     true_kernel = montecarlo.certified_kernel
 
-    def padded(m, d, *args, **kwargs):
-        calls[(m, d)] += 1
-        kernel = true_kernel(m, d, *args, **kwargs)
-        return kernel + [_unit(kernel)] if m == 3 else kernel
+    def recording(m, d, seed, base=None):
+        kernels[(m, d)] = true_kernel(m, d, seed, base), base
+        return kernels[(m, d)][0]
 
-    monkeypatch.setattr(montecarlo, "certified_kernel", padded)
-    assert main(["dims", "--max-d", "4", "--max-n", "2", "--seed", "1"]) == 4
-    out, err = capsys.readouterr()
-    assert (out, err.count("\n")) == ("", 1)
-    assert err.startswith("error: kernel for n=3, d=4 does not lie in the kernel for n=2")
-    assert calls == {(1, 4): 1, (2, 4): 1, (3, 4): 1}
+    monkeypatch.setattr(montecarlo, "rank_of", no_rank)
+    monkeypatch.setattr(montecarlo, "certified_kernel", recording)
+    out = tmp_path / "dims"
+    argv = ["dims", "--max-d", "7", "--max-n", "2", "--seed", "5", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIMS_D7_N2_SEED5
+    nested = 0
+    for (m, d), ((kernel, _), base) in kernels.items():
+        if m == 1:
+            assert base is None
+            continue
+        _, below = kernels[(m - 1, d)][0]
+        assert base is below
+        cols = list(zip(*below[0]))
+        assert all(annihilates(cols, v) for v in kernel)
+        nested += 1
+    # K_2 for d = 3..7 and K_3 for d = 4..7
+    assert nested == 9
 
 
 def test_verify_relation():
@@ -538,13 +555,40 @@ def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, 
         assert seen[0] == full[:len(seen[0])]
 
 
+@pytest.mark.parametrize("d,m", [(5, 1), (6, 2), (7, 3)])
+def test_dims_draws_each_nested_kernel_after_the_rows_below(monkeypatch, d, m):
+    # the rows of a nested K_{m+1} are K_m's rows, then a prefix of the rows
+    # an unnested K_{m+1} would draw
+    seen = _kernel_rows(monkeypatch)
+    calls = {}      # m -> (seed, rows of attempt 0, certified_kernel's result)
+    true_kernel = montecarlo.certified_kernel
+
+    def recording(n, deg, seed, base=None):
+        first = len(seen)
+        result = true_kernel(n, deg, seed, base)
+        if deg == d:
+            calls[n] = seed, seen[first], result
+        return result
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", recording)
+    rel_dimension_table(d, m, SEED)
+    _, (below, _) = calls[m][2]
+    seed, rows, _ = calls[m + 1]
+    k = len(enumerate_invariant_basis(d))
+    full = build_evaluation_matrix(m + 1, d, k + montecarlo.IDLE_ROWS,
+                                   f"{seed}:n{m + 1}:attempt0")
+    drawn = rows[len(below):]
+    assert rows[:len(below)] == below
+    assert 1 <= len(drawn) and drawn == full[:len(drawn)]
+
+
 def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
     # on 1 x 1 matrices every degree-7 invariant is a multiple of x^7: rank 1
     seen = _kernel_rows(monkeypatch)
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
         seen.clear()
-        assert len(certified_kernel(1, 7, SEED)) == 75
+        assert len(certified_kernel(1, 7, SEED)[0]) == 75
         assert len(seen) == 1 and len(seen[0]) <= 1 + idle
 
 
@@ -553,8 +597,8 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
     # can certify it
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, seed, b):
-        rows, _ = true_draw(n, d, seed, b)
+    def one_row(n, d, seed, b, base=None):
+        rows, _ = true_draw(n, d, seed, b, base)
         echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
         return rows[:1], echelon
@@ -620,9 +664,9 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
         bounds.append(b)
         return true_verdicts(vectors, n, d, rng, b)
 
-    def short_first_attempt(n, d, seed, b):
+    def short_first_attempt(n, d, seed, b, base=None):
         # one row leaves a kernel too large to certify, so attempt 0 escalates
-        rows, echelon = true_draw(n, d, seed, b)
+        rows, echelon = true_draw(n, d, seed, b, base)
         if seed.endswith("attempt0"):
             echelon = montecarlo._Echelon(len(rows[0]), P)
             echelon.add(rows[0])

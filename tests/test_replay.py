@@ -43,6 +43,8 @@ SYMMETRIZER_SEED13 = {
 
 DIMS_D7_N2_SEED5 = "af47e8a81f0a27e56a59f1595d7bb50ab93ebf57768576d9a890a36c52adc89b"
 DIMS_D8_N7_SEED5 = "7649bb0c437cc0d6bc6f3458588aaff2353df8f25daeba9d7f9bfa056f6dd1f0"
+# The full 10 x 9 table, about 8 s: run with TRACE_RELATIONS_LONG=1.
+DIMS_D10_N9_SEED5_LONG = "ed115b70eab0e052110d7e213e41d71263a884c80afcbed1b9d984673a2b2de8"
 
 
 def digest(argv, tmp_path):
@@ -80,3 +82,10 @@ def test_dims_table_replay(tmp_path):
 def test_dims_table_d8_replay(tmp_path):
     argv = ["dims", "--max-d", "8", "--max-n", "7", "--seed", "5"]
     assert digest(argv, tmp_path) == DIMS_D8_N7_SEED5
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="long dims table; set TRACE_RELATIONS_LONG=1")
+def test_dims_table_d10_replay_long(tmp_path):
+    argv = ["dims", "--max-d", "10", "--max-n", "9", "--seed", "5"]
+    assert digest(argv, tmp_path) == DIMS_D10_N9_SEED5_LONG
