@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 from functools import cached_property
 from itertools import islice, repeat
 from math import gcd, isqrt, lcm
@@ -108,13 +109,16 @@ def _is_prime(q):
     return True
 
 
-FIRST_PRIME = 2 ** 61 - 1
+# The largest prime below 2^30.  CPython stores ints in 30-bit digits, so
+# every multiplier p - f of a row update is a single digit, and a packed
+# slot takes 9 bytes (10 from k = 2048 on).
+FIRST_PRIME = 2 ** 30 - 35
 
 
 def _primes():
-    """The fixed moduli of `nullspace`: 2^61 - 1, then the primes below it in
-    descending order.  FIRST_PRIME is a Mersenne prime, so it is yielded
-    untested; the tests check it with `_is_prime`."""
+    """The fixed moduli of `nullspace`: FIRST_PRIME = 2^30 - 35, then the
+    primes below it in descending order (2^30 - 41, 2^30 - 83, ...).
+    FIRST_PRIME is yielded untested; the tests check it with `_is_prime`."""
     yield FIRST_PRIME
     q = FIRST_PRIME - 2
     while True:
@@ -145,7 +149,7 @@ class _Echelon:
     a slot stays below p + k p^2 < 2^width.
 
     Reduction mod p is packed as well.  Write p = 2^s - c; for the moduli of
-    `_primes`, c is small (1, 31, 45, ...).  Since 2^s = c mod p,
+    `_primes`, c is small (35, 41, 83, ...).  Since 2^s = c mod p,
     `_fold` replaces the bits at and above s of every slot by c times their
     value, x <- (x & LO) + c ((x >> s) & HI), which keeps each slot's
     residue, until every slot is below 2^s.  Then one packed conditional
@@ -167,6 +171,8 @@ class _Echelon:
         self.s = s = p.bit_length()
         self.c = (1 << s) - p
         self.size = (2 * s + k.bit_length() + 8) // 8  # bytes per slot
+        # a residue below p < 2^32 in the low 4 bytes of each slot
+        self.slots = struct.Struct("<" + f"I{self.size - 4}x" * k)
         self.width, self.mask = 8 * self.size, (1 << 8 * self.size) - 1
         self.ones = _ones(self.size, k)                 # 1 in every slot
         self.lo = ((1 << s) - 1) * self.ones            # bits below s
@@ -187,14 +193,11 @@ class _Echelon:
         vars(other).update(vars(self), pivots=list(self.pivots), rows=list(self.rows))
         return other
 
-    def _pack(self, entries):
-        return int.from_bytes(_slot_bytes(entries, self.size), "little")
+    def _pack(self, residues):
+        return int.from_bytes(self.slots.pack(*residues), "little")
 
     def _unpack(self, x):
-        size = self.size
-        b = x.to_bytes(self.k * size, "little")
-        return [int.from_bytes(b[j:j + size], "little")
-                for j in range(0, len(b), size)]
+        return list(self.slots.unpack(x.to_bytes(self.slots.size, "little")))
 
     def _fold(self, x):
         """x with every slot replaced by its residue mod p."""
@@ -312,25 +315,26 @@ def nullspace(rows, echelon=None):
     column, in column order.
 
     The entries of M are ints.  The reduced row echelon form over GF(p),
-    p = 2^61 - 1, gives for each free column fc the vector with 1 at fc and
-    -R[i][fc] at each pivot column below fc.  Each entry is lifted to a
-    rational by rational reconstruction, the vector is scaled to a primitive
-    integer vector with positive leading entry, and M v = 0 is checked
-    exactly over the integer rows by `_annihilates`: the columns of M are
-    packed into ints with slots wide enough that no signed slot total can
-    reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a test
-    for zero.
+    p = FIRST_PRIME = 2^30 - 35, gives for each free column fc the vector
+    with 1 at fc and -R[i][fc] at each pivot column below fc.  Each entry is
+    lifted to a rational by rational reconstruction, which one prime allows
+    while numerator and denominator stay below sqrt(p/2), about 2^14.5.  The
+    vector is scaled to a primitive integer vector with positive leading
+    entry, and M v = 0 is checked exactly over the integer rows by
+    `_annihilates`: the columns of M are packed into ints with slots wide
+    enough that no signed slot total can reach 2^(W-1) in size, so M v is a
+    few big-int multiply-adds and a test for zero.
 
     Certificate: the vectors are independent, since each is 1 at its own
     free column and 0 at the others.  If all k - rank_p of them pass, then
     dim ker_Q >= k - rank_p >= k - rank_Q = dim ker_Q, so they span ker_Q,
     and they are its unique basis in this reduced form.
 
-    If a lift or a check fails, further primes from `_primes` are taken.
-    Residues of primes whose pivot columns are the best seen so far (most
-    pivots, then earliest) are combined by CRT, and the lift is repeated
-    against their product until every vector passes.  No unchecked vector
-    is returned.
+    If a lift or a check fails, further primes below 2^30 are taken from
+    `_primes`.  Residues of primes whose pivot columns are the best seen so
+    far (most pivots, then earliest) are combined by CRT, and the lift is
+    repeated against their product until every vector passes.  No unchecked
+    vector is returned.
 
     `echelon`, if given, is an `_Echelon` over FIRST_PRIME already fed with
     exactly these rows; it stands in for the first prime's elimination.

@@ -238,7 +238,7 @@ def test_verify_dependent_relations_fail(capsys, tmp_path):
 
 def test_verify_big_dependent_relation_fails(capsys, tmp_path):
     # the golden relation times 2^80 passes on its own, but the rank check
-    # must still see it as dependent through entries past one 61-bit prime
+    # must still see it as dependent through entries past one prime
     obj = json.loads((DATA / "golden_n2_d3.json").read_text())
     obj["relations"].append([str(2 ** 80 * int(c)) for c in obj["relations"][0]])
     big = tmp_path / "big.json"

@@ -157,16 +157,17 @@ def test_nullspace_matches_rational_rref(rows):
 
 
 def test_nullspace_entry_past_one_prime_bound():
-    # -1/2^40 has a denominator above sqrt(p/2) ~ 2^30: a second prime is
+    # -1/2^40 has a denominator above sqrt(p/2) ~ 2^14.5: further primes are
     # needed before it can be reconstructed
     assert nullspace([[2 ** 40, 1]]) == [(1, -2 ** 40)]
 
 
 def test_nullspace_unlucky_first_prime():
-    # the first row vanishes mod 2^61 - 1, so that prime sees rank 1 and
+    # the first row vanishes mod FIRST_PRIME, so that prime sees rank 1 and
     # proposes (1, 0); only the exact check rejects it
-    assert nullspace([[2 ** 61 - 1, 0], [0, 1]]) == []
-    assert rank_of([[2 ** 61 - 1, 0], [0, 1]]) == 2
+    p = montecarlo.FIRST_PRIME
+    assert nullspace([[p, 0], [0, 1]]) == []
+    assert rank_of([[p, 0], [0, 1]]) == 2
 
 
 def test_moduli_are_descending_primes():
@@ -174,9 +175,43 @@ def test_moduli_are_descending_primes():
              if all(q % f for f in range(3, math.isqrt(q) + 1, 2))]
     assert [q for q in range(41, 5000, 2) if montecarlo._is_prime(q)] == small
     first = list(itertools.islice(montecarlo._primes(), 3))
-    assert first == [2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45]
+    assert first == [2 ** 30 - 35, 2 ** 30 - 41, 2 ** 30 - 83]
     # _primes yields the first modulus without testing it
     assert montecarlo._is_prime(montecarlo.FIRST_PRIME)
+
+
+def test_first_moduli_are_single_digit_primes():
+    # below 2^30, each multiplier p - f is one CPython digit; FIRST_PRIME is
+    # the largest prime there
+    moduli = list(itertools.islice(montecarlo._primes(), 10))
+    assert all(montecarlo._is_prime(q) and q < 2 ** 30 for q in moduli)
+    assert moduli[0] == montecarlo.FIRST_PRIME
+    assert not any(montecarlo._is_prime(q)
+                   for q in range(montecarlo.FIRST_PRIME + 2, 2 ** 30, 2))
+
+
+@pytest.mark.parametrize("entry,primes", [(2 ** 14, 1), (2 ** 20, 2)])
+def test_nullspace_entry_sizes_take_one_or_two_primes(monkeypatch, entry, primes):
+    # one prime reconstructs entries up to about sqrt(p/2) ~ 2^14.5; 2^20
+    # needs the CRT product of two
+    calls = []
+    rref_mod = montecarlo._rref_mod
+    monkeypatch.setattr(montecarlo, "_rref_mod",
+                        lambda rows, p: calls.append(p) or rref_mod(rows, p))
+    assert nullspace([[entry, 1]]) == [(1, -entry)]
+    assert calls == list(itertools.islice(montecarlo._primes(), primes))
+
+
+@pytest.mark.parametrize("k", [2047, 2048])
+def test_packed_slots_round_trip_at_the_slot_size_step(k):
+    # the slot grows from 9 to 10 bytes at k = 2048
+    p = montecarlo.FIRST_PRIME
+    echelon = montecarlo._Echelon(k, p)
+    assert echelon.size == (9 if k < 2048 else 10)
+    top = [p - 1] * k
+    x = echelon._pack(top)
+    assert x == (p - 1) * echelon.ones
+    assert echelon._unpack(x) == top
 
 
 def test_nullspace_entries_wider_than_a_prime():
@@ -187,7 +222,7 @@ def test_nullspace_entries_wider_than_a_prime():
 
 
 P = montecarlo.FIRST_PRIME
-# 2^61 - c for c = 1, 31, 45: the first prime and the first CRT primes
+# 2^30 - c for c = 35, 41, 83: the first prime and the first CRT primes
 PRIMES = list(itertools.islice(montecarlo._primes(), 3))
 
 

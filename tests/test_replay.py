@@ -27,12 +27,16 @@ MONTECARLO_SEED13 = {
     (4, 5): "bb70b429fcf7942326f6cbef477c2ddce8b8b65561341c5eba9773935cfb34d4",
     (3, 8): "41bb1922e54671515a8aba2dd8a091aa693acc0a0633e14ea6a7c4b2fc3246c8",
     (2, 9): "0068e290d780d6ff172887ccbdc5174e1dc8183698adde3e0fb673ce5f054fee",
+    # kernel entries past one prime's reconstruction bound: both kernels,
+    # n = 5 and 6, are lifted by CRT over a second prime
+    (5, 9): "9a50683709f7f0737da7cf977399fd830dd923c37af0af3f68d7b3b7ae67e491",
 }
 
-# Frontier cells, about 1 s and 5 s: run with TRACE_RELATIONS_LONG=1.
+# Frontier cells, about 0.4 s to 4 s: run with TRACE_RELATIONS_LONG=1.
 MONTECARLO_SEED13_LONG = {
     (8, 9): "5ba773376c0a0900bf1176d6659cf3a60eab1e714cdd2edafe7fc25a92040165",
     (9, 10): "b32e8559edb1ab2b4d50820d6bd1422d9216beec1f83bbc3839d1c8778b22313",
+    (2, 11): "8bcbd9271225e6465e01cb462ad86129f79566fb5be42786575f597d863ea2ad",
 }
 
 SYMMETRIZER_SEED13 = {
