@@ -139,10 +139,10 @@ def _compile_basis(d):
     of the degree-d basis, compiled once for every n.
 
     Each distinct word is traced once, through the split of its cheapest
-    rotation or reflection (`_Plan.split`).  Then each monomial, its words
-    shortest first, is the product of its own prefix by one more trace, so
-    monomials that share a prefix, as most share their short words, share
-    its product.
+    rotation or reflection (`_Plan.split`).  Each monomial is then the
+    product of its word traces, shortest first, written inline in the
+    returned list: a statement per shared prefix product would cost more
+    to compile than its saved multiplies win back on a row.
     """
     basis = enumerate_invariant_basis(d)
     plan = _Plan()
@@ -152,18 +152,7 @@ def _compile_basis(d):
             if w not in traces:
                 traces[w] = name = f"t{len(traces)}"
                 plan.lines.append(f"{name} = {plan.trace(plan.split(w))}")
-    products = {}           # (prefix, trace) -> name of their product
-    values = []
-    for m in basis:
-        words = reversed(m)
-        value = traces[next(words)]
-        for w in words:
-            key = value, traces[w]
-            if key not in products:
-                products[key] = f"m{len(products)}"
-                plan.lines.append(f"{products[key]} = {value} * {key[1]}")
-            value = products[key]
-        values.append(value)
+    values = [" * ".join(traces[w] for w in reversed(m)) for m in basis]
     return plan.products, plan.compile(values)
 
 

@@ -29,8 +29,8 @@ from .montecarlo import (ENTRY_BOUND, FIRST_PRIME, METHOD_SYMMETRIZER,
                          fresh_sample_verdicts, normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
 from .montecarlo import rank_of, verify_relation  # noqa: F401
-from .words import (EnumerationCapError, class_of_involution, encode,
-                    enumerate_invariant_basis, tau)
+from .words import (EnumerationCapError, enumerate_invariant_basis,
+                    involution_to_monomial, tau)
 
 SYMMETRIZER_N_CAP = 6   # n=6: 9 of 429 tableaux projected; 0.9 s, 25 MB on 2 vCPUs
 
@@ -154,14 +154,14 @@ def young_symmetrizer(t):
 
 @lru_cache(maxsize=None)
 def _basis_index(d):
-    """class id -> coordinate in the degree-d invariant basis."""
-    return {encode(m): i for i, m in enumerate(enumerate_invariant_basis(d))}
+    """Necklace class -> coordinate in the degree-d invariant basis."""
+    return {m: i for i, m in enumerate(enumerate_invariant_basis(d))}
 
 
 @lru_cache(maxsize=None)
 def _class_index(pairing):
     """Basis coordinate of the necklace class of a matching (pairing tuple)."""
-    return _basis_index(len(pairing) // 2)[class_of_involution(pairing)]
+    return _basis_index(len(pairing) // 2)[involution_to_monomial(pairing)]
 
 
 def _class_vector(terms, d):

@@ -155,9 +155,4 @@ def _invariant_basis(d):
                 rec(j, remaining - len(w), acc + [w])
 
     rec(0, d, [])
-    return tuple(sorted(out, key=lambda m: tuple(map(_word_key, m))))
-
-
-def class_of_involution(p):
-    """Canonical class id (serialized necklace class) of a matching."""
-    return encode(involution_to_monomial(p))
+    return tuple(out)                 # the DFS emits them in word-key order

@@ -201,17 +201,18 @@ def test_criterion_7_invariance_suite(capsys):
             ok = ok and canonicalize_letters(c) == c
         # class-id orbit constancy, exhaustive d<=4
         import itertools
-        from trace_relations.words import class_of_involution
+        from trace_relations.words import encode
         for d in range(1, 5):
             for inv in enumerate_fpf_involutions(d):
-                cid = class_of_involution(inv)
+                cid = encode(involution_to_monomial(inv))
                 for gperm in itertools.permutations(range(d)):
                     slot = {2 * i + e: 2 * gperm[i] + e
                             for i in range(d) for e in (0, 1)}
                     conj = [0] * (2 * d)
                     for a in range(2 * d):
                         conj[slot[a]] = slot[inv[a]]
-                    ok = ok and class_of_involution(tuple(conj)) == cid
+                    image = involution_to_monomial(tuple(conj))
+                    ok = ok and encode(image) == cid
         # quasi-idempotency up to size 6
         ok = ok and all(quasi_idempotency_failures(size) == ()
                         for size in range(1, 7))

@@ -231,6 +231,16 @@ def test_plan_products_per_row():
     assert _compile_basis(7)[0] <= 9
 
 
+@pytest.mark.parametrize("d", range(3, 11))
+def test_row_function_keeps_no_monomial_temporaries(d):
+    # Locals: x, xt, one per matrix product and one per distinct word; each
+    # monomial is written inline in the returned list.
+    products, make = _compile_basis(d)
+    row = make(*_kernels(2), 3)
+    distinct = {w for m in enumerate_invariant_basis(d) for w in m}
+    assert row.__code__.co_nlocals == 2 + products + len(distinct)
+
+
 def test_degree_12_basis_compiles_and_evaluates():
     basis = enumerate_invariant_basis(12)
     x = random_int_matrix(2, random.Random(12), 3)

@@ -7,8 +7,8 @@ from trace_relations import words
 from trace_relations.evaluate import evaluate_word
 from trace_relations.symmetrizer import _swap_labels
 from trace_relations.words import (
-    X, XT, EnumerationCapError, canonicalize_letters, class_of_involution,
-    encode, enumerate_invariant_basis, involution_to_monomial, monomial, tau)
+    X, XT, EnumerationCapError, canonicalize_letters, encode,
+    enumerate_invariant_basis, involution_to_monomial, monomial, tau)
 
 from oracles import enumerate_fpf_involutions
 
@@ -106,22 +106,24 @@ def test_involution_to_monomial_refuses_other_pairings(p):
 
 
 def test_involution_to_monomial_degree2_classes():
-    images = {class_of_involution(i) for i in enumerate_fpf_involutions(2)}
+    images = {encode(involution_to_monomial(i))
+              for i in enumerate_fpf_involutions(2)}
     assert images == {"xx", "xt", "x*x"}
     # the slot convention pins which matching is which (certified against the
     # contraction oracle in test_evaluate)
-    assert class_of_involution((3, 2, 1, 0)) == "xx"   # (1 4)(2 3)
-    assert class_of_involution((2, 3, 0, 1)) == "xt"   # (1 3)(2 4)
+    assert encode(involution_to_monomial((3, 2, 1, 0))) == "xx"   # (1 4)(2 3)
+    assert encode(involution_to_monomial((2, 3, 0, 1))) == "xt"   # (1 3)(2 4)
 
 
 def test_involution_to_monomial_degree3_image():
-    images = {class_of_involution(i) for i in enumerate_fpf_involutions(3)}
+    images = {encode(involution_to_monomial(i))
+              for i in enumerate_fpf_involutions(3)}
     assert images == {"xxx", "xxt", "xx*x", "xt*x", "x*x*x"}
 
 
 def test_tau_maps_to_trace_power():
     for d in range(1, 5):
-        assert class_of_involution(tau(d)) == "*".join(["x"] * d)
+        assert encode(involution_to_monomial(tau(d))) == "*".join(["x"] * d)
 
 
 @pytest.mark.parametrize("d,k", [(1, 1), (2, 3), (3, 5), (4, 12)])
@@ -158,10 +160,18 @@ def test_basis_order_degree3():
         ["xxx", "xxt", "xx*x", "xt*x", "x*x*x"]
 
 
+def test_basis_is_in_word_key_order():
+    for d in range(1, 13):
+        basis = enumerate_invariant_basis(d)
+        assert list(basis) == sorted(
+            basis, key=lambda m: tuple(map(words._word_key, m)))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_basis_equals_involution_image(d):
     direct = set(map(encode, enumerate_invariant_basis(d)))
-    via_inv = {class_of_involution(i) for i in enumerate_fpf_involutions(d)}
+    via_inv = {encode(involution_to_monomial(i))
+               for i in enumerate_fpf_involutions(d)}
     assert direct == via_inv
 
 
@@ -190,9 +200,10 @@ def _pair_permutation_conjugate(p, g):
 def test_class_constant_on_factor_permutation_orbits(d):
     perms = list(itertools.permutations(range(d)))
     for inv in enumerate_fpf_involutions(d):
-        cid = class_of_involution(inv)
+        cid = encode(involution_to_monomial(inv))
         for g in perms:
-            assert class_of_involution(_pair_permutation_conjugate(inv, g)) == cid
+            conj = _pair_permutation_conjugate(inv, g)
+            assert encode(involution_to_monomial(conj)) == cid
 
 
 def test_monomial_word_order():
