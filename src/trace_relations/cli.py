@@ -114,11 +114,11 @@ def cmd_verify(args):
     if failures:
         print(f"# {failures} of {len(rs.relations)} relations failed", file=sys.stderr)
     # Relations count modulo the (n+1) kernel, which is trivial for
-    # d <= n + 1.  rank(M) = rank(M^T); the transpose's kernel is empty when
-    # the kernel and the relations together are independent, so no vector
-    # is lifted.
+    # d <= n + 1.  rank_of eliminates the transpose of fewer than k vectors,
+    # whose kernel is empty when they are independent, so no vector is
+    # lifted.
     ambient = certified_kernel(rs.n + 1, rs.d, seed)[0] if rs.d > rs.n + 1 else []
-    rank = rank_of(list(zip(*ambient, *rs.relations))) - len(ambient)
+    rank = rank_of([*ambient, *rs.relations]) - len(ambient)
     dependent = rank < len(rs.relations)
     if dependent:
         print(f"# relations are linearly dependent modulo the (n+1) kernel: "

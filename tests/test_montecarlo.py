@@ -385,6 +385,33 @@ def test_rank_of():
     assert rank_of([]) == 0
 
 
+def _product(rng, m, r, k):
+    # an m x k integer matrix of rank at most r
+    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+@pytest.mark.parametrize("m,r,k", [(3, 3, 7), (2, 2, 9), (7, 3, 3), (9, 2, 2),
+                                   (4, 4, 4), (4, 2, 9), (9, 2, 4), (5, 3, 5),
+                                   (1, 1, 6), (2, 1, 8)])
+def test_rank_of_eliminates_the_shorter_side(monkeypatch, m, r, k):
+    # rank(M) = rank(M^T): a wide matrix is transposed, so nullspace lifts
+    # one vector per free column of the shorter side
+    shapes = []
+    true_nullspace = montecarlo.nullspace
+
+    def recording(rows, *args):
+        shapes.append((len(rows), len(rows[0])))
+        return true_nullspace(rows, *args)
+
+    monkeypatch.setattr(montecarlo, "nullspace", recording)
+    rows = _product(random.Random(f"{m}x{k}/{r}"), m, r, k)
+    assert rank_of(rows) == _frac_rank(rows)
+    assert shapes == [(max(m, k), min(m, k))]
+
+
 def test_find_relations_n2_d3():
     rs = find_relations(2, 3, SEED)
     assert len(rs.relations) == 2
@@ -477,6 +504,38 @@ def test_find_relations_rejects_kernel_one_up_outside_kernel(monkeypatch, capsys
             find_relations(1, 3, SEED)
         assert main(["relations", "--n", "1", "--d", "3", "--seed", "1"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 5), (3, 6), (4, 7)])
+def test_find_relations_certifies_the_ambient_on_the_n_rows(monkeypatch, n, d):
+    # the (n+1) kernel is certified on top of the n x n rows: its rows are
+    # K_n's rows, then a prefix of the rows an unnested K_{n+1} would draw,
+    # and every ambient vector annihilates the n x n rows
+    seen = _kernel_rows(monkeypatch)
+    calls = {}      # m -> (base, rows of attempt 0, certified_kernel's result)
+    true_kernel = montecarlo.certified_kernel
+
+    def recording(m, deg, seed, base=None):
+        first = len(seen)
+        result = true_kernel(m, deg, seed, base)
+        calls[m] = base, seen[first], result
+        return result
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", recording)
+    find_relations(n, d, SEED)
+    assert sorted(calls) == [n, n + 1]
+    base, _, (_, below) = calls[n]
+    assert base is None
+    base, rows, (ambient, _) = calls[n + 1]
+    assert base is below
+    k = len(enumerate_invariant_basis(d))
+    full = build_evaluation_matrix(n + 1, d, k + montecarlo.IDLE_ROWS,
+                                   f"{SEED}:n{n + 1}:attempt0")
+    drawn = rows[len(below[0]):]
+    assert rows[:len(below[0])] == below[0]
+    assert 1 <= len(drawn) and drawn == full[:len(drawn)]
+    cols = list(zip(*below[0]))
+    assert ambient and all(annihilates(cols, u) for u in ambient)
 
 
 def test_dims_nests_each_kernel_in_the_one_below(monkeypatch, tmp_path):

@@ -30,6 +30,10 @@ MONTECARLO_SEED13 = {
     # kernel entries past one prime's reconstruction bound: both kernels,
     # n = 5 and 6, are lifted by CRT over a second prime
     (5, 9): "9a50683709f7f0737da7cf977399fd830dd923c37af0af3f68d7b3b7ae67e491",
+    # the quotient's containment check stacks fewer vectors than k, so
+    # rank_of eliminates the transpose
+    (4, 8): "9b534c64fe1e003fda9fb82fa5d19e21044785408a1e73386dd21858ec6e64d7",
+    (6, 8): "6e8728737f21659fda13d1a83a1aec183dc5008cd0ac621a3ceb2859c93e20be",
 }
 
 # Frontier cells, about 0.4 s to 4 s: run with TRACE_RELATIONS_LONG=1.
