@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from math import gcd, isqrt, lcm
 
-from .dimensions import stable_range
+from .dimensions import rel_dim_formula, stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
 from .evaluate import evaluate_basis_row, evaluate_monomial  # noqa: F401
@@ -145,8 +145,9 @@ class _Echelon:
     Each row is packed into one int, entry j in the j-th slot of `width`
     bits, so a row update is one big-int multiply-add.  Slots stay
     nonnegative and are not reduced between updates: a pivot row holds
-    slots below p, and a row takes at most one update (< p^2) per pivot, so
-    a slot stays below p + k p^2 < 2^width.
+    slots below p, and a slot takes at most `updates` products below p^2
+    before it is folded (one per pivot, so k by default), so it stays below
+    p + updates p^2 < 2^width.
 
     Reduction mod p is packed as well.  Write p = 2^s - c; for the moduli of
     `_primes`, c is small (35, 41, 83, ...).  Since 2^s = c mod p,
@@ -164,13 +165,19 @@ class _Echelon:
     a leading 1.  Every nonzero vector of the row space leads at a pivot
     column of its reduced row echelon form, so these leading columns are
     exactly its pivot columns.
+
+    `free_rref` completes the reduced row echelon form at the free columns
+    only, which are all that `nullspace` reads.  It packs those entries of
+    each row into an `_Echelon` of f = k - rank slots that are sized for
+    rank updates between folds, not f.
     """
 
-    def __init__(self, k, p):
+    def __init__(self, k, p, updates=None):
         self.k, self.p = k, p
         self.s = s = p.bit_length()
         self.c = (1 << s) - p
-        self.size = (2 * s + k.bit_length() + 8) // 8  # bytes per slot
+        updates = k if updates is None else updates
+        self.size = (2 * s + updates.bit_length() + 8) // 8  # bytes per slot
         # a residue below p < 2^32 in the low 4 bytes of each slot
         self.slots = struct.Struct("<" + f"I{self.size - 4}x" * k)
         self.width, self.mask = 8 * self.size, (1 << 8 * self.size) - 1
@@ -206,48 +213,63 @@ class _Echelon:
             x = (x & lo) + c * (x >> s & hi)
         return x - self.p * ((x + self.cs) >> s & self.ones)
 
-    def _reduce(self, x, pivots, rows):
+    def add(self, row):
+        """Feed one integer row; True iff it raised the rank."""
         p, width, mask = self.p, self.width, self.mask
-        for col, prow in zip(pivots, rows):
+        x = self._pack(map(p.__rmod__, row))
+        for col, prow in zip(self.pivots, self.rows):
             f = (x >> col * width & mask) % p
             if f:
                 x += (p - f) * prow
-        return self._fold(x)
-
-    def add(self, row):
-        """Feed one integer row; True iff it raised the rank."""
-        p = self.p
-        x = self._reduce(self._pack(map(p.__rmod__, row)), self.pivots, self.rows)
+        x = self._fold(x)
         if not x:
             return False
-        lead = ((x & -x).bit_length() - 1) // self.width
-        inv = pow(x >> lead * self.width & self.mask, -1, p)
+        lead = ((x & -x).bit_length() - 1) // width
+        inv = pow(x >> lead * width & mask, -1, p)
         self.pivots.append(lead)
         self.rows.append(self._fold(x * inv))
         return True
 
-    def rref(self):
+    def free_rref(self):
         """(pivot columns in order, the nonzero rows of the reduced row
-        echelon form) by one back-substitution pass: from the last pivot row
-        to the first, clear each at the pivot columns of the rows after it,
-        which are already clear at every other pivot column.  Each row is
-        unpacked once, at the end."""
-        rows = list(self.rows)
-        for i in reversed(range(len(rows))):
-            rows[i] = self._reduce(rows[i], self.pivots[i + 1:], rows[i + 1:])
-        order = sorted(range(len(rows)), key=self.pivots.__getitem__)
-        return [self.pivots[i] for i in order], [self._unpack(rows[i]) for i in order]
+        echelon form at the free columns only, in the same order).
+
+        One back-substitution pass from the last pivot row to the first.
+        Pivot row i is zero at the pivot columns of the rows before it, so
+        its reduced row is R_i = row_i - sum_{j>i} row_i[pivot_j] R_j: each
+        later R_j is 1 at its own pivot column and 0 at every other, so the
+        coefficient is row i's own entry there.  Restricted to the f free
+        columns, F_i = row_i[free] - sum_{j>i} row_i[pivot_j] F_j.  Each
+        row is unpacked once, and F_i is packed into f slots, which collect
+        up to rank updates below p^2 before one fold.
+        """
+        p, pivots = self.p, self.pivots
+        piv_set = set(pivots)
+        free = [j for j in range(self.k) if j not in piv_set]
+        packed = _Echelon(len(free), p, self.rank)
+        later_cols, later = [], []      # F_j of the rows after this one
+        for col, row in zip(reversed(pivots), reversed(self.rows)):
+            entries = self._unpack(row)
+            x = packed._pack(map(entries.__getitem__, free))
+            for e, g in zip(map(entries.__getitem__, later_cols), later):
+                if e:
+                    x += (p - e) * g
+            later_cols.append(col)
+            later.append(packed._fold(x))
+        later.reverse()
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return [pivots[i] for i in order], [packed._unpack(later[i]) for i in order]
 
 
 def _rref_mod(rows, p):
-    """Reduced row echelon form of integer rows over GF(p):
-    (pivot columns, the nonzero rows)."""
+    """Reduced row echelon form of integer rows over GF(p) at the free
+    columns: (pivot columns, the nonzero rows at the free columns)."""
     echelon = _Echelon(len(rows[0]), p)
     for row in rows:
         echelon.add(row)
         if echelon.rank == echelon.k:
             break
-    return echelon.rref()
+    return echelon.free_rref()
 
 
 def _rational(r, modulus, bound):
@@ -264,8 +286,17 @@ def _rational(r, modulus, bound):
 
 def _lift(fc, pivots, column, modulus, k):
     """Primitive integer vector with 1 at free column fc and -column[i] at
-    pivot column pivots[i], lifted from residues mod modulus; None if some
-    entry has no rational reconstruction."""
+    pivot column pivots[i], lifted from residues mod modulus and scaled to
+    a positive leading entry; None if some entry has no rational
+    reconstruction.
+
+    Scaling the fractions a_i/b_i (each in lowest terms) by
+    denom = lcm(b) already gives a primitive vector.  A prime q dividing
+    denom divides it to the power it has in some b_i, so q does not divide
+    denom/b_i, nor a_i, which is coprime to b_i: q does not divide that
+    entry, a_i denom/b_i.  A prime not dividing denom does not divide the
+    entry denom at fc.  So only the sign is normalized.
+    """
     bound = isqrt(modulus // 2)
     fracs = [_rational(-x % modulus, modulus, bound) for x in column]
     if None in fracs:
@@ -275,15 +306,21 @@ def _lift(fc, pivots, column, modulus, k):
     vec[fc] = denom
     for pc, (a, b) in zip(pivots, fracs):
         vec[pc] = a * (denom // b)
-    return normalize_vector(vec)
+    if next(v for v in vec if v) < 0:
+        return tuple(-v for v in vec)
+    return tuple(vec)
 
 
 def _annihilates(mat, vectors):
     """For each v in `vectors`, whether M v = 0, checked exactly.
 
-    Each column of the integer matrix M is packed once per call into one
-    int: row i in the i-th slot of W bits, holding M[i][j] + 2^(W-1), which
-    is nonnegative.  Then sum_j v_j col_j - sum(v) * (the packed offsets) is
+    Each column of the integer matrix M (m rows) is packed once per call,
+    row i in slot i of W bits, in two's complement, that is x mod 2^W.  For
+    W <= 64 that is one struct pack of m 64-bit slots (W = 64); above, one
+    W-bit slot per entry.  Each column, read as one int and XORed with
+    2^(W-1) in every slot, holds M[i][j] + 2^(W-1) in slot i: flipping the
+    sign bit turns x mod 2^W into x + 2^(W-1) for every |x| < 2^(W-1).
+    Then sum_j v_j col_j - sum(v) * (the packed offsets) is
     sum_i (M v)_i 2^(W i), one multiply-add per nonzero entry of v.  A sum
     sum_i a_i 2^(W i) with every |a_i| < 2^(W-1) is zero only if every a_i
     is: its highest nonzero term outweighs all the terms below it.  Here
@@ -292,14 +329,20 @@ def _annihilates(mat, vectors):
     """
     if not vectors:
         return []
-    k = len(mat[0])
+    m, k = len(mat), len(mat[0])
     mbits = max(max(max(row), -min(row)) for row in mat).bit_length()
     vbits = max(max(max(v), -min(v)) for v in vectors).bit_length()
     size = (mbits + vbits + k.bit_length() + 2 + 7) // 8   # bytes per slot
-    half = 1 << 8 * size - 1
-    cols = [int.from_bytes(_slot_bytes(map(half.__add__, col), size), "little")
-            for col in zip(*mat)]
-    offsets = half * _ones(size, len(mat))
+    if size <= 8:
+        # one compiled Struct per call: struct.pack's format cache would
+        # keep one of about 32 bytes per slot alive after the call
+        size, pack = 8, struct.Struct(f"<{m}q").pack
+        packed = [pack(*col) for col in zip(*mat)]
+    else:
+        mask = (1 << 8 * size) - 1
+        packed = [_slot_bytes(map(mask.__and__, col), size) for col in zip(*mat)]
+    offsets = (1 << 8 * size - 1) * _ones(size, m)     # 2^(W-1) in every slot
+    cols = [int.from_bytes(b, "little") ^ offsets for b in packed]
     verdicts = []
     for v in vectors:
         acc = -sum(v) * offsets
@@ -316,14 +359,16 @@ def nullspace(rows, echelon=None):
 
     The entries of M are ints.  The reduced row echelon form over GF(p),
     p = FIRST_PRIME = 2^30 - 35, gives for each free column fc the vector
-    with 1 at fc and -R[i][fc] at each pivot column below fc.  Each entry is
-    lifted to a rational by rational reconstruction, which one prime allows
-    while numerator and denominator stay below sqrt(p/2), about 2^14.5.  The
-    vector is scaled to a primitive integer vector with positive leading
-    entry, and M v = 0 is checked exactly over the integer rows by
-    `_annihilates`: the columns of M are packed into ints with slots wide
-    enough that no signed slot total can reach 2^(W-1) in size, so M v is a
-    few big-int multiply-adds and a test for zero.
+    with 1 at fc and -R[i][fc] at each pivot column below fc.  Only the
+    free columns of R are read, so only they are back-substituted
+    (`_Echelon.free_rref`).  Each entry is lifted to a rational by rational
+    reconstruction, which one prime allows while numerator and denominator
+    stay below sqrt(p/2), about 2^14.5.  The vector is scaled to a
+    primitive integer vector with positive leading entry, and M v = 0 is
+    checked exactly over the integer rows by `_annihilates`: the columns of
+    M are packed into ints with slots wide enough that no signed slot total
+    can reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a
+    test for zero.
 
     Certificate: the vectors are independent, since each is 1 at its own
     free column and 0 at the others.  If all k - rank_p of them pass, then
@@ -347,7 +392,7 @@ def nullspace(rows, echelon=None):
     best = residues = modulus = None
     for p in _primes():
         if echelon is not None and p == echelon.p:
-            pivots, reduced = echelon.rref()
+            pivots, reduced = echelon.free_rref()
         else:
             pivots, reduced = _rref_mod(rows, p)
         # a prime that loses rank loses pivots or moves them later
@@ -364,9 +409,10 @@ def nullspace(rows, echelon=None):
         else:
             continue
         piv_set = set(pivots)
+        free = [j for j in range(k) if j not in piv_set]
         # R[i][fc] is 0 at every pivot column after fc
-        basis = [_lift(fc, pivots, [row[fc] for row in residues], modulus, k)
-                 for fc in range(k) if fc not in piv_set]
+        basis = [_lift(fc, pivots, [row[t] for row in residues], modulus, k)
+                 for t, fc in enumerate(free)]
         if None not in basis and all(_annihilates(rows, basis)):
             return basis
 
@@ -596,6 +642,12 @@ def certified_kernel(n, d, seed, base=None):
     same trace words.  So the stacked kernel still contains the true one,
     and since `nullspace` checks M v = 0 exactly on every stacked row, the
     result lies in the span of the base's kernel by construction.
+
+    At d = n + 1 the kernel is the whole degree-d relation space, since the
+    (n+1) kernel is trivial there, and its dimension is the closed form
+    rel_dim_formula(n).  The certified vectors are an exact basis of a
+    space that contains it, so a count that differs raises
+    KernelCertificationError.
     """
     for attempt in range(MAX_ESCALATIONS + 1):
         attempt_seed = f"{seed}:n{n}:attempt{attempt}"
@@ -604,6 +656,10 @@ def certified_kernel(n, d, seed, base=None):
         vectors = nullspace(rows, echelon)
         vrng = stream(attempt_seed, "verify")
         if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
+            if d == n + 1 and len(vectors) != rel_dim_formula(n):
+                raise KernelCertificationError(
+                    f"kernel for n={n}, d={d} has dimension {len(vectors)}, "
+                    f"but the closed form gives {rel_dim_formula(n)}")
             return vectors, (rows, echelon)
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "
@@ -626,7 +682,9 @@ def find_relations(n, d, seed):
     The (n+1) kernel is certified on top of the n x n rows
     (`certified_kernel`'s `base`), so it lies in the span of the n kernel
     by construction.  The exact rank check of that containment still runs,
-    only because the benchmark's traced quotient metrics read it.
+    only because the benchmark's traced quotient metrics read it.  At
+    d = n + 1 the kernel's dimension is checked against the closed form
+    rel_dim_formula(n) (`certified_kernel`).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
@@ -660,7 +718,9 @@ def rel_dimension_table(max_d, max_n, seed):
     degree, K_1, ..., K_{min(max_n + 1, d - 1)} are certified as one chain:
     each K_{m+1} is certified on top of K_m's rows (`certified_kernel`'s
     `base`), so it lies in span(K_m) by construction and the count is a
-    difference of dimensions, with no rank computation.
+    difference of dimensions, with no rank computation.  The last kernel of
+    each chain that reaches m = d - 1 is checked against the closed form
+    rel_dim_formula(d - 1) (`certified_kernel`).
     """
     table = {}
     # largest degree first, so the basis cap fails before any cell is computed

@@ -444,6 +444,29 @@ def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch)
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,checked", [
+    (("relations", "--n", "2", "--d", "3"), [2]),
+    (("relations", "--n", "1", "--d", "3"), [2]),
+    (("dims", "--max-d", "3", "--max-n", "1"), [2]),
+    (("relations", "--n", "1", "--d", "4"), [])],
+    ids=["diagonal", "ambient_on_diagonal", "dims", "off_diagonal"])
+def test_relations_diagonal_kernel_checked_against_closed_form(
+        capsys, monkeypatch, argv, checked):
+    # every kernel certified at d = n + 1 is the whole relation space, so
+    # its dimension must be rel_dim_formula(n); a mismatch exits 4.  Off
+    # the diagonal, K_1 and K_2 at d = 4 are not compared.
+    calls = []
+    monkeypatch.setattr(montecarlo, "rel_dim_formula",
+                        lambda n: calls.append(n) or 99)
+    rc, out, err = run(capsys, *argv, "--seed", "1")
+    assert calls[:1] == checked
+    if checked:
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: ") and "closed form" in err
+    else:
+        assert rc == 0
+
+
 def _no_sampling(*args):
     raise AssertionError("sampled a matrix in the stable range")
 

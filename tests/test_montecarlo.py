@@ -260,16 +260,18 @@ def _elimination_matrices(p):
 def _assert_elimination_matches_oracle(rows, p):
     echelon = montecarlo._Echelon(len(rows[0]), p)
     raised = sum(echelon.add(row) for row in rows)
-    pivots, reduced = echelon.rref()
+    pivots, reduced = echelon.free_rref()
     assert raised == echelon.rank == len(pivots)
     assert montecarlo._rref_mod(rows, p) == (pivots, reduced)
     # the rational RREF reduced mod p is the GF(p) one unless p divides one
-    # of its denominators or the rank drops mod p
+    # of its denominators or the rank drops mod p; the pass gives it at the
+    # free columns
     frac_pivots, frac_rows = _frac_rref([[e % p for e in row] for row in rows])
     if (len(frac_pivots) == len(pivots)
             and all(x.denominator % p for row in frac_rows for x in row)):
         assert frac_pivots == pivots
-        assert [[_residue(x, p) for x in row] for row in frac_rows] == reduced
+        free = [j for j in range(len(rows[0])) if j not in pivots]
+        assert [[_residue(row[j], p) for j in free] for row in frac_rows] == reduced
     # rows that are zero mod p, duplicated or dependent raise nothing
     assert not echelon.add([p * e for e in rows[0]])
     assert not echelon.add(rows[-1])
@@ -284,11 +286,14 @@ def test_incremental_elimination_matches_rref_oracle(data):
 
 def test_incremental_elimination_reduces_every_pivot_column():
     # the third row leads at column 0, before the earlier pivots; the back
-    # substitution must still clear the first two rows at column 0
+    # substitution must still clear the first two rows at column 0, so
+    # their free column 3 reads -7/6, 9/2 and 1/2 of the rational RREF
     for p in PRIMES:
-        echelon = montecarlo._Echelon(3, p)
-        assert [echelon.add(r) for r in ([0, 1, 1], [0, 0, 2], [3, 1, 0])] == [True] * 3
-        assert echelon.rref() == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        echelon = montecarlo._Echelon(4, p)
+        rows = ([0, 1, 1, 5], [0, 0, 2, 1], [3, 1, 0, 1])
+        assert [echelon.add(r) for r in rows] == [True] * 3
+        expected = [[_residue(Fraction(x), p)] for x in ("-7/6", "9/2", "1/2")]
+        assert echelon.free_rref() == ([0, 1, 2], expected)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -305,6 +310,31 @@ def test_elimination_slot_worst_case(p, k):
     echelon = montecarlo._Echelon(k, p)
     assert top > (k - 2) * p * p and top.bit_length() <= echelon.width
     _assert_elimination_matches_oracle(rows + [last], p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("later", ["p-1", "1"])
+def test_free_column_slot_worst_case(p, later):
+    # k = 40 columns, rank 39, one free column (the last).  Pivot row i is 1
+    # at column i and `later` at each later pivot column.  With p - 1 there
+    # and at the free column, every update multiplier is 1.  With 1 there
+    # and -(39 - i) at the free column, every F_j is p - 1 and every
+    # multiplier p - 1: row 0's slot takes 38 updates of (p - 1)^2, which a
+    # slot sized for f = 1 update cannot hold, and one sized for rank can
+    k, rank = 40, 39
+    e = p - 1 if later == "p-1" else 1
+    rows = [[0] * i + [1] + [e] * (rank - 1 - i)
+            + [p - 1 if later == "p-1" else -(rank - i) % p]
+            for i in range(rank)]
+    if later == "1":
+        top = (p - rank) + (rank - 1) * (p - 1) ** 2
+        assert top.bit_length() > montecarlo._Echelon(1, p).width
+        assert top.bit_length() <= montecarlo._Echelon(1, p, rank).width
+        echelon = montecarlo._Echelon(k, p)
+        for row in rows:
+            echelon.add(row)
+        assert echelon.free_rref()[1] == [[p - 1]] * rank
+    _assert_elimination_matches_oracle(rows, p)
 
 
 def _orthogonal_rows(v, picks):
@@ -380,6 +410,64 @@ def test_packed_identity_check_never_carries_between_slots():
                 annihilates(cols, w) for w in vectors] == [False, False]
 
 
+@pytest.mark.parametrize("width,mbits", [(63, 1), (63, 29), (63, 57),
+                                          (64, 1), (64, 29), (64, 58),
+                                          (65, 1), (65, 30), (65, 59),
+                                          (70, 64)])
+def test_packed_identity_check_at_the_64_bit_slot_boundary(width, mbits):
+    # bits(M) + bits(v) + bits(k) + 2 = width, k = 6: slots are
+    # struct-packed 64-bit words up to width 64 and byte strings past it,
+    # where (70, 64) has entries that no 64-bit word holds.  Entries are
+    # +-(2^mbits - 1) and +-(2^vbits - 1); w meets `block` at the largest
+    # total k max|M| max|v|, and each near miss is one entry off
+    k = 6
+    a, big = 2 ** mbits - 1, 2 ** (width - 5 - mbits) - 1
+    alt, block = [a, -a] * 3, [a] * 3 + [-a] * 3
+    rows = [alt, block, [-x for x in alt], [-x for x in block]]
+    u, w, z = [big] * k, [big] * 3 + [-big] * 3, [big, 0, -big, -big, 0, big]
+    vectors = [u, [-c for c in u], w, z]
+    for v in (u, z):
+        for j in (0, k - 1):
+            if v[j]:
+                miss = list(v)
+                miss[j] -= 1 if v[j] > 0 else -1
+                vectors += [miss, [-c for c in miss]]
+    mbits_seen = max(abs(x) for row in rows for x in row).bit_length()
+    vbits_seen = max(abs(c) for v in vectors for c in v).bit_length()
+    assert mbits_seen + vbits_seen + k.bit_length() + 2 == width
+    cols = list(zip(*rows))
+    expected = [annihilates(cols, v) for v in vectors]
+    assert expected[:4] == [True, True, False, True] and expected.count(False) > 2
+    assert montecarlo._annihilates(rows, vectors) == expected
+    for v, ok in zip(vectors, expected):
+        assert montecarlo._annihilates(rows, [v]) == [ok]
+
+
+_WIDE_DENOMINATORS = [2 ** 40, 3 ** 25, 2 ** 10 * 3 ** 6 * 5 ** 4 * 7 ** 3]
+
+
+@given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=6),
+       st.sampled_from(_WIDE_DENOMINATORS), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_lift_is_primitive_without_a_gcd(numerators, denom, fc):
+    # entries x_i = a_i / D over one wide D, reconstructed against the CRT
+    # product of three primes: the lifted vector is scaled by lcm of the
+    # reduced denominators only, and is already primitive and signed
+    modulus = math.prod(PRIMES)
+    k = len(numerators) + 1
+    fc %= k
+    pivots = [j for j in range(k) if j != fc]
+    fracs = [Fraction(a, denom) for a in numerators]
+    column = [-_residue(x, modulus) % modulus for x in fracs]
+    vec = montecarlo._lift(fc, pivots, column, modulus, k)
+    assert vec == normalize_vector(vec)
+    exact = [Fraction(1) if j == fc else None for j in range(k)]
+    for pc, x in zip(pivots, fracs):
+        exact[pc] = x
+    scale = math.lcm(*(x.denominator for x in exact))
+    assert vec == normalize_vector([int(x * scale) for x in exact])
+
+
 def test_rank_of():
     assert rank_of([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank_of([]) == 0
@@ -451,6 +539,22 @@ def test_theorem_diagonal():
 def test_theorem_diagonal_long(n):
     from trace_relations.dimensions import rel_dim_formula
     assert len(find_relations(n, n + 1, SEED).relations) == rel_dim_formula(n)
+
+
+def test_diagonal_kernels_are_compared_with_the_closed_form(monkeypatch):
+    # relations at d = n + 1 checks K_n, and at d = n + 2 its ambient
+    # K_{n+1}; dims checks the K_{d-1} that ends each degree's chain
+    calls = []
+    formula = montecarlo.rel_dim_formula
+    monkeypatch.setattr(montecarlo, "rel_dim_formula",
+                        lambda n: calls.append(n) or formula(n))
+    find_relations(3, 4, SEED)
+    find_relations(2, 4, SEED)
+    find_relations(1, 4, SEED)
+    assert calls == [3, 3]
+    calls.clear()
+    rel_dimension_table(4, 2, SEED)
+    assert calls == [3, 2, 1]
 
 
 def test_relations_vanish_only_on_smaller_matrices():
