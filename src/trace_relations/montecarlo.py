@@ -172,7 +172,7 @@ class _Echelon:
     rank updates between folds, not f.
     """
 
-    def __init__(self, k, p, updates=None):
+    def __init__(self, k, p=FIRST_PRIME, updates=None):
         self.k, self.p = k, p
         self.s = s = p.bit_length()
         self.c = (1 << s) - p
@@ -379,7 +379,8 @@ def nullspace(rows, echelon=None):
     `_primes`.  Residues of primes whose pivot columns are the best seen so
     far (most pivots, then earliest) are combined by CRT, and the lift is
     repeated against their product until every vector passes.  No unchecked
-    vector is returned.
+    vector is returned.  Past the primes a correct run can need, counted
+    after the first failed lift, this raises KernelCertificationError.
 
     `echelon`, if given, is an `_Echelon` over FIRST_PRIME already fed with
     exactly these rows; it stands in for the first prime's elimination.
@@ -389,8 +390,12 @@ def nullspace(rows, echelon=None):
     k = len(rows[0])
     if any(len(row) != k for row in rows):
         raise ValueError("ragged matrix")
-    best = residues = modulus = None
-    for p in _primes():
+    best = residues = modulus = limit = None
+    for used, p in enumerate(_primes()):
+        if used == limit:
+            raise KernelCertificationError(
+                f"nullspace: no exact kernel after {used} primes, the most a "
+                "correct lift needs")
         if echelon is not None and p == echelon.p:
             pivots, reduced = echelon.free_rref()
         else:
@@ -415,6 +420,12 @@ def nullspace(rows, echelon=None):
                  for t, fc in enumerate(free)]
         if None not in basis and all(_annihilates(rows, basis)):
             return basis
+        if limit is None:
+            # Hadamard: no minor exceeds h = norm^min(m, k), so a lift needs
+            # 2 bits(h) + 1 bits of modulus, and at most bits(h) / 29 primes
+            # divide the pivot minor; every prime has 29 bits or more.
+            norm = isqrt(max(sum(e * e for e in row) for row in rows)) + 1
+            limit = (3 * (norm ** min(len(rows), k)).bit_length() + 2) // 29 + 2
 
 
 def rank_of(rows):
@@ -500,37 +511,12 @@ def _coefficient(entry):
 class RelationSet:
     """Certified relation basis plus the seed that produced it.
 
-    relations is a tuple of normalized integer tuples.  Instances are equal
-    when they are of the same class with equal fields, and equal instances
-    hash equal.  Assigning or deleting any attribute raises AttributeError.
-    No __slots__: the cached `basis` lives in the instance __dict__.
+    relations is a tuple of normalized integer tuples.
     """
 
-    _fields = ("n", "d", "relations", "method", "seed")
-
     def __init__(self, n, d, relations, method, seed):
-        vars(self).update(n=n, d=d, relations=relations, method=method, seed=seed)
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self.n, self.d, self.relations = n, d, relations
+        self.method, self.seed = method, seed
 
     @cached_property
     def basis(self):
@@ -608,7 +594,7 @@ def _draw_rows(n, d, seed, b, base=None):
     """
     k = len(enumerate_invariant_basis(d))
     if base is None:
-        rows, echelon = [], _Echelon(k, FIRST_PRIME)
+        rows, echelon = [], _Echelon(k)
     else:
         rows, echelon = list(base[0]), base[1].copy()
     idle = 0

@@ -24,24 +24,15 @@ import itertools
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
-from .montecarlo import (ENTRY_BOUND, FIRST_PRIME, METHOD_SYMMETRIZER,
-                         KernelCertificationError, RelationSet, _Echelon,
-                         fresh_sample_verdicts, normalize_vector, stream)
+from .montecarlo import (ENTRY_BOUND, METHOD_SYMMETRIZER, KernelCertificationError,
+                         RelationSet, _Echelon, fresh_sample_verdicts,
+                         normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
 from .montecarlo import rank_of, verify_relation  # noqa: F401
 from .words import (EnumerationCapError, enumerate_invariant_basis,
                     involution_to_monomial, tau)
 
 SYMMETRIZER_N_CAP = 6   # n=6: 9 of 429 tableaux projected; 0.9 s, 25 MB on 2 vCPUs
-
-
-def check_partition(shape):
-    shape = tuple(shape)
-    if not shape or any(p < 1 for p in shape):
-        raise ValueError(f"invalid partition {shape!r}")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {shape!r}")
-    return shape
 
 
 def two_column_shape(n):
@@ -55,7 +46,11 @@ def enumerate_standard_tableaux(shape):
     """All standard fillings, deterministic order (smallest next placement
     first).  A tableau is its tuple of rows of the entries 0..size-1, which
     strictly increase along rows and columns."""
-    shape = check_partition(shape)
+    shape = tuple(shape)
+    if not shape or any(p < 1 for p in shape):
+        raise ValueError(f"invalid partition {shape!r}")
+    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+        raise ValueError(f"parts must be weakly decreasing: {shape!r}")
     size = sum(shape)
     rows = [[] for _ in shape]
     out = []
@@ -245,7 +240,7 @@ def symmetrizer_relation_space(n, seed):
         raise EnumerationCapError(
             f"symmetrizer run for n={n} exceeds cap n <= {SYMMETRIZER_N_CAP}")
     d = n + 1
-    echelon = _Echelon(len(enumerate_invariant_basis(d)), FIRST_PRIME)
+    echelon = _Echelon(len(enumerate_invariant_basis(d)))
     tableaux = enumerate_standard_tableaux(two_column_shape(n))
     expected = rel_dim_formula(n)
     # lazy: no tableau is projected after the expected-th rank rise
