@@ -68,8 +68,10 @@ def cmd_relations(args):
     else:
         rs = find_relations(args.n, args.d, seed)
     elapsed = time.perf_counter() - t0
+    # at d = n + 1 both engines compare their count with rel_dim_formula(n)
+    certificate = " certificate=closed-form" if rs.d == rs.n + 1 else ""
     print(f"# n={rs.n} d={rs.d}: k={len(rs.basis)} relations={len(rs.relations)} "
-          f"method={rs.method} wall={elapsed:.2f}s", file=sys.stderr)
+          f"method={rs.method} wall={elapsed:.2f}s{certificate}", file=sys.stderr)
     _emit(rs.to_json(), args.output)
     return EXIT_OK
 

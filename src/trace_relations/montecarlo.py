@@ -14,8 +14,9 @@ import json
 import random
 import struct
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .dimensions import rel_dim_formula, stable_range
 # evaluate_monomial is unused here but stays importable from this module:
@@ -113,6 +114,13 @@ def _is_prime(q):
 # every multiplier p - f of a row update is a single digit, and a packed
 # slot takes 9 bytes (10 from k = 2048 on).
 FIRST_PRIME = 2 ** 30 - 35
+
+
+# Where a column's lift fails or gives a vector that fails the exact check,
+# `nullspace` tries the integer vector that its residues read in the
+# symmetric range, if no entry exceeds this bound, about a quarter of
+# FIRST_PRIME; the exact check decides it.
+INTEGER_CANDIDATE_BOUND = 2 ** 28 - 1
 
 
 def _primes():
@@ -284,20 +292,59 @@ def _rational(r, modulus, bound):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+def _signed(vec):
+    """The integer vector as a tuple, negated if its leading nonzero entry
+    is negative."""
+    if next(v for v in vec if v) < 0:
+        return tuple(-v for v in vec)
+    return tuple(vec)
+
+
+def _integer_vector(fc, pivots, column, modulus, k, bound):
+    """The integer vector with 1 at free column fc and s_i at pivot column
+    pivots[i], s_i = -column[i] read in the symmetric range
+    [-modulus/2, modulus/2], signed to a positive leading entry; None if
+    some |s_i| exceeds bound.  Its entry 1 at fc makes it primitive.
+
+    For odd modulus and half = modulus // 2, (x + half) mod modulus is
+    half - s for the symmetric value s of -x, so the whole column is read
+    with two C-level maps and bounded by its min and max.
+    """
+    half = modulus // 2
+    shifted = list(map(modulus.__rmod__, map(half.__add__, column)))
+    if shifted and (min(shifted) < half - bound or max(shifted) > half + bound):
+        return None
+    vec = [0] * k
+    vec[fc] = 1
+    for pc, t in zip(pivots, shifted):
+        vec[pc] = half - t
+    return _signed(vec)
+
+
 def _lift(fc, pivots, column, modulus, k):
     """Primitive integer vector with 1 at free column fc and -column[i] at
     pivot column pivots[i], lifted from residues mod modulus and scaled to
     a positive leading entry; None if some entry has no rational
     reconstruction.
 
-    Scaling the fractions a_i/b_i (each in lowest terms) by
-    denom = lcm(b) already gives a primitive vector.  A prime q dividing
-    denom divides it to the power it has in some b_i, so q does not divide
-    denom/b_i, nor a_i, which is coprime to b_i: q does not divide that
-    entry, a_i denom/b_i.  A prime not dividing denom does not divide the
-    entry denom at fc.  So only the sign is normalized.
+    Reconstruction bounds numerator and denominator by
+    bound = isqrt(modulus // 2).  An entry whose symmetric value s has
+    |s| <= bound reconstructs as exactly (s, 1), so a column whose entries
+    all do is read as one integer vector (`_integer_vector`), with no
+    per-entry reconstruction.
+
+    Otherwise each entry is reconstructed alone.  Scaling the fractions
+    a_i/b_i (each in lowest terms) by denom = lcm(b) already gives a
+    primitive vector.  A prime q dividing denom divides it to the power it
+    has in some b_i, so q does not divide denom/b_i, nor a_i, which is
+    coprime to b_i: q does not divide that entry, a_i denom/b_i.  A prime
+    not dividing denom does not divide the entry denom at fc.  So only the
+    sign is normalized.
     """
     bound = isqrt(modulus // 2)
+    vec = _integer_vector(fc, pivots, column, modulus, k, bound)
+    if vec is not None:
+        return vec
     fracs = [_rational(-x % modulus, modulus, bound) for x in column]
     if None in fracs:
         return None
@@ -306,9 +353,7 @@ def _lift(fc, pivots, column, modulus, k):
     vec[fc] = denom
     for pc, (a, b) in zip(pivots, fracs):
         vec[pc] = a * (denom // b)
-    if next(v for v in vec if v) < 0:
-        return tuple(-v for v in vec)
-    return tuple(vec)
+    return _signed(vec)
 
 
 def _annihilates(mat, vectors):
@@ -321,9 +366,10 @@ def _annihilates(mat, vectors):
     2^(W-1) in every slot, holds M[i][j] + 2^(W-1) in slot i: flipping the
     sign bit turns x mod 2^W into x + 2^(W-1) for every |x| < 2^(W-1).
     Then sum_j v_j col_j - sum(v) * (the packed offsets) is
-    sum_i (M v)_i 2^(W i), one multiply-add per nonzero entry of v.  A sum
-    sum_i a_i 2^(W i) with every |a_i| < 2^(W-1) is zero only if every a_i
-    is: its highest nonzero term outweighs all the terms below it.  Here
+    sum_i (M v)_i 2^(W i), one multiply-add per nonzero entry of v, summed
+    by C-level `map` and `sum` over those entries and their columns.  A
+    sum sum_i a_i 2^(W i) with every |a_i| < 2^(W-1) is zero only if every
+    a_i is: its highest nonzero term outweighs all the terms below it.  Here
     |(M v)_i| <= k max|M| max|v| < 2^(bits(k) + bits(M) + bits(v)), so
     W >= bits(M) + bits(v) + bits(k) + 2 makes the test exact.
     """
@@ -343,14 +389,8 @@ def _annihilates(mat, vectors):
         packed = [_slot_bytes(map(mask.__and__, col), size) for col in zip(*mat)]
     offsets = (1 << 8 * size - 1) * _ones(size, m)     # 2^(W-1) in every slot
     cols = [int.from_bytes(b, "little") ^ offsets for b in packed]
-    verdicts = []
-    for v in vectors:
-        acc = -sum(v) * offsets
-        for c, col in zip(v, cols):
-            if c:
-                acc += c * col
-        verdicts.append(not acc)
-    return verdicts
+    return [not sum(map(mul, filter(None, v), compress(cols, v)), -sum(v) * offsets)
+            for v in vectors]
 
 
 def nullspace(rows, echelon=None):
@@ -361,19 +401,26 @@ def nullspace(rows, echelon=None):
     p = FIRST_PRIME = 2^30 - 35, gives for each free column fc the vector
     with 1 at fc and -R[i][fc] at each pivot column below fc.  Only the
     free columns of R are read, so only they are back-substituted
-    (`_Echelon.free_rref`).  Each entry is lifted to a rational by rational
+    (`_Echelon.free_rref`).  Each column is lifted by `_lift`: read as one
+    integer vector when every entry's symmetric residue is at most
+    sqrt(p/2), about 2^14.5, else entry by entry by rational
     reconstruction, which one prime allows while numerator and denominator
-    stay below sqrt(p/2), about 2^14.5.  The vector is scaled to a
-    primitive integer vector with positive leading entry, and M v = 0 is
-    checked exactly over the integer rows by `_annihilates`: the columns of
-    M are packed into ints with slots wide enough that no signed slot total
-    can reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a
+    stay below that bound.  An integer entry past it has no reconstruction
+    or a wrong one, yet one prime holds it up to p/2.  So where a column
+    has no lift, or its lifted vector fails the check, the integer vector
+    its residues read (`_integer_vector`) is tried, if no entry exceeds
+    INTEGER_CANDIDATE_BOUND, about 2^28.  Each vector is a primitive
+    integer vector with positive leading entry, and M v = 0 is checked
+    exactly over the integer rows by `_annihilates`: the columns of M are
+    packed into ints with slots wide enough that no signed slot total can
+    reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a
     test for zero.
 
     Certificate: the vectors are independent, since each is 1 at its own
     free column and 0 at the others.  If all k - rank_p of them pass, then
     dim ker_Q >= k - rank_p >= k - rank_Q = dim ker_Q, so they span ker_Q,
-    and they are its unique basis in this reduced form.
+    and they are its unique basis in this reduced form.  So a vector that
+    passes is that basis vector, however it was lifted or guessed.
 
     If a lift or a check fails, further primes below 2^30 are taken from
     `_primes`.  Residues of primes whose pivot columns are the best seen so
@@ -416,10 +463,23 @@ def nullspace(rows, echelon=None):
         piv_set = set(pivots)
         free = [j for j in range(k) if j not in piv_set]
         # R[i][fc] is 0 at every pivot column after fc
-        basis = [_lift(fc, pivots, [row[t] for row in residues], modulus, k)
-                 for t, fc in enumerate(free)]
-        if None not in basis and all(_annihilates(rows, basis)):
-            return basis
+        columns = [[row[t] for row in residues] for t in range(len(free))]
+
+        def integer(t):
+            return _integer_vector(free[t], pivots, columns[t], modulus, k,
+                                   INTEGER_CANDIDATE_BOUND)
+
+        basis = [_lift(fc, pivots, column, modulus, k) or integer(t)
+                 for t, (fc, column) in enumerate(zip(free, columns))]
+        if None not in basis:
+            # an integer entry past the lift's bound can also reconstruct as
+            # a wrong fraction: retry each failed column as an integer vector
+            failed = [t for t, ok in enumerate(_annihilates(rows, basis)) if not ok]
+            guesses = list(map(integer, failed))
+            if None not in guesses and all(_annihilates(rows, guesses)):
+                for t, vec in zip(failed, guesses):
+                    basis[t] = vec
+                return basis
         if limit is None:
             # Hadamard: no minor exceeds h = norm^min(m, k), so a lift needs
             # 2 bits(h) + 1 bits of modulus, and at most bits(h) / 29 primes
@@ -581,15 +641,17 @@ MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, seed, b, base=None):
+def _draw_rows(n, d, seed, b, base=None, known=0):
     """The rows of `base`, then a prefix of the k + IDLE_ROWS rows drawn
     from stream(seed, "rows") with entry bound b (build_evaluation_matrix's
     rows when b = ENTRY_BOUND), and the echelon form over GF(FIRST_PRIME) of
     them all.
 
     `base`, if given, is the (rows, echelon) pair of `certified_kernel` on
-    smaller samples; it is copied, not changed.  Rows are drawn until the
-    rank reaches k, or IDLE_ROWS consecutive rows leave it unchanged, or
+    smaller samples; it is copied, not changed.  `known` is a proved lower
+    bound on the dimension of the true kernel, so k - known bounds the rank
+    over Q, and with it the GF(p) rank.  Rows are drawn until the rank
+    reaches k - known, or IDLE_ROWS consecutive rows leave it unchanged, or
     k + IDLE_ROWS rows are drawn.
     """
     k = len(enumerate_invariant_basis(d))
@@ -602,7 +664,7 @@ def _draw_rows(n, d, seed, b, base=None):
     for row in islice(_evaluation_rows(n, d, rng, b), k + IDLE_ROWS):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
-        if echelon.rank == k or idle == IDLE_ROWS:
+        if echelon.rank == k - known or idle == IDLE_ROWS:
             break
     return rows, echelon
 
@@ -615,12 +677,13 @@ def certified_kernel(n, d, seed, base=None):
     verification failure.
 
     Rows are drawn one at a time, and drawing stops once IDLE_ROWS
-    consecutive rows leave the GF(p) rank unchanged, or the rank reaches k;
-    never more than k + IDLE_ROWS rows are drawn.  The rows are a prefix of
-    the k + IDLE_ROWS rows of build_evaluation_matrix, whose kernel contains
-    the true one.  A prefix that stops before the rank has settled only
-    yields extra vectors, which certification rejects, so stopping early
-    can cost escalations but never changes the result.
+    consecutive rows leave the GF(p) rank unchanged, or the rank reaches
+    the most it can (`_draw_rows`); never more than k + IDLE_ROWS rows are
+    drawn.  The rows are a prefix of the k + IDLE_ROWS rows of
+    build_evaluation_matrix, whose kernel contains the true one.  A prefix
+    that stops before the rank has settled only yields extra vectors, which
+    certification rejects, so stopping early can cost escalations but never
+    changes the result.
 
     `base`, if given, is the (rows, echelon) of a kernel certified on
     smaller samples, m x m with m < n.  Every attempt stacks its drawn rows
@@ -631,21 +694,26 @@ def certified_kernel(n, d, seed, base=None):
 
     At d = n + 1 the kernel is the whole degree-d relation space, since the
     (n+1) kernel is trivial there, and its dimension is the closed form
-    rel_dim_formula(n).  The certified vectors are an exact basis of a
-    space that contains it, so a count that differs raises
+    rel_dim_formula(n), computed once.  A GF(p) rank never exceeds the rank
+    over Q, which never exceeds k - rel_dim_formula(n), so drawing stops
+    when the GF(p) rank reaches that: ker_Q(M) is then the relation space,
+    and later rows cannot change it.  Elsewhere the cap is k.  The
+    certified vectors are an exact basis of a space that contains the
+    relation space, so a count that differs from the closed form raises
     KernelCertificationError.
     """
+    known = rel_dim_formula(n) if d == n + 1 else 0
     for attempt in range(MAX_ESCALATIONS + 1):
         attempt_seed = f"{seed}:n{n}:attempt{attempt}"
         b = ENTRY_BOUND << attempt
-        rows, echelon = _draw_rows(n, d, attempt_seed, b, base)
+        rows, echelon = _draw_rows(n, d, attempt_seed, b, base, known)
         vectors = nullspace(rows, echelon)
         vrng = stream(attempt_seed, "verify")
         if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
-            if d == n + 1 and len(vectors) != rel_dim_formula(n):
+            if d == n + 1 and len(vectors) != known:
                 raise KernelCertificationError(
                     f"kernel for n={n}, d={d} has dimension {len(vectors)}, "
-                    f"but the closed form gives {rel_dim_formula(n)}")
+                    f"but the closed form gives {known}")
             return vectors, (rows, echelon)
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "

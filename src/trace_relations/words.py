@@ -16,7 +16,6 @@ tuple p, p[a] the partner of slot a.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 X = 0   # letter for a factor x
@@ -118,10 +117,29 @@ def involution_to_monomial(p):
 
 @lru_cache(maxsize=None)
 def canonical_words(length):
-    """All canonical trace words of the given length, sorted."""
-    found = {canonicalize_letters(bits)
-             for bits in itertools.product((X, XT), repeat=length)}
-    return tuple(sorted(found))
+    """All canonical trace words of the given length, sorted.
+
+    A word is read as a length-bit int v, one bit per letter (X = 0,
+    XT = 1), first letter most significant, so int order is the letter
+    tuples' lexicographic order.  Walking v upward, the first value met in
+    each class is its minimum, the canonical word; marking its rotations
+    and those of its reversed, letter-swapped word as seen covers the
+    whole class.
+    """
+    mask = (1 << length) - 1
+    top = length - 1
+    seen = bytearray(1 << length)
+    found = []
+    for v in range(1 << length):
+        if seen[v]:
+            continue
+        bits = format(v, f"0{length}b")
+        found.append(tuple(map(int, bits)))
+        for w in (v, int(bits[::-1], 2) ^ mask):
+            for _ in range(length):
+                seen[w] = 1
+                w = (w << 1 & mask) | (w >> top)
+    return tuple(found)
 
 
 def enumerate_invariant_basis(d):

@@ -88,6 +88,16 @@ def test_relations_reports_no_rank(capsys):
                         r"wall=\d+\.\d\ds\n", err)
 
 
+@pytest.mark.parametrize("method", ["montecarlo", "symmetrizer"])
+def test_relations_diagonal_states_the_closed_form_certificate(capsys, method):
+    # at d = n + 1 both engines check their count against rel_dim_formula(n)
+    rc, _, err = run(capsys, "relations", "--n", "3", "--d", "4",
+                     "--method", method, "--seed", "3")
+    assert rc == 0
+    assert re.fullmatch(rf"# n=3 d=4: k=12 relations=3 method={method} "
+                        r"wall=\d+\.\d\ds certificate=closed-form\n", err)
+
+
 def test_relations_replay_byte_identical(capsys, tmp_path):
     files = []
     for name in ("a.json", "b.json"):

@@ -190,14 +190,20 @@ def test_first_moduli_are_single_digit_primes():
                    for q in range(montecarlo.FIRST_PRIME + 2, 2 ** 30, 2))
 
 
-@pytest.mark.parametrize("entry,primes", [(2 ** 14, 1), (2 ** 20, 2)])
-def test_nullspace_entry_sizes_take_one_or_two_primes(monkeypatch, entry, primes):
-    # one prime reconstructs entries up to about sqrt(p/2) ~ 2^14.5; 2^20
-    # needs the CRT product of two
+def _count_primes(monkeypatch):
     calls = []
     rref_mod = montecarlo._rref_mod
     monkeypatch.setattr(montecarlo, "_rref_mod",
                         lambda rows, p: calls.append(p) or rref_mod(rows, p))
+    return calls
+
+
+@pytest.mark.parametrize("entry,primes", [(2 ** 14, 1), (2 ** 20, 2)])
+def test_nullspace_entry_sizes_take_one_or_two_primes(monkeypatch, entry, primes):
+    # the kernel vector reads -1/entry at the pivot: one prime reconstructs
+    # a denominator up to about sqrt(p/2) ~ 2^14.5; 2^20 needs the CRT
+    # product of two
+    calls = _count_primes(monkeypatch)
     assert nullspace([[entry, 1]]) == [(1, -entry)]
     assert calls == list(itertools.islice(montecarlo._primes(), primes))
 
@@ -224,11 +230,8 @@ def test_nullspace_entries_wider_than_a_prime():
 def test_nullspace_fails_past_the_primes_a_correct_lift_needs(monkeypatch, capsys):
     # a check that rejects every vector, as a defect in the residues or in
     # _annihilates would, ends in an error instead of a loop over all primes
-    calls = []
-    rref_mod = montecarlo._rref_mod
     monkeypatch.setattr(montecarlo, "_annihilates", lambda mat, vs: [False] * len(vs))
-    monkeypatch.setattr(montecarlo, "_rref_mod",
-                        lambda rows, p: calls.append(p) or rref_mod(rows, p))
+    calls = _count_primes(monkeypatch)
     with pytest.raises(KernelCertificationError, match="after 2 primes"):
         nullspace([[1, 2, 3], [4, 5, 6]])
     # no minor exceeds (isqrt(77) + 1)^2 = 81, 7 bits: a correct lift needs
@@ -487,6 +490,91 @@ def test_lift_is_primitive_without_a_gcd(numerators, denom, fc):
     assert vec == normalize_vector([int(x * scale) for x in exact])
 
 
+@pytest.mark.parametrize("modulus", [P, PRIMES[0] * PRIMES[1]])
+def test_lift_reads_whole_integer_columns_as_per_entry_reconstruction(modulus):
+    # an entry whose symmetric value s has |s| <= isqrt(modulus // 2)
+    # reconstructs as exactly (s, 1), so a column of them is read at once;
+    # one entry past the bound sends the column entry by entry
+    bound = math.isqrt(modulus // 2)
+    values = (0, 1, -1, bound, -bound, bound + 1, -(bound + 1))
+    for s in values:
+        frac = montecarlo._rational(s % modulus, modulus, bound)
+        assert (frac == (s, 1)) == (abs(s) <= bound)
+        whole = montecarlo._integer_vector(1, [0], [-s % modulus], modulus, 2, bound)
+        assert whole == (normalize_vector((s, 1)) if abs(s) <= bound else None)
+        expected = None if frac is None else normalize_vector(frac)
+        assert montecarlo._lift(1, [0], [-s % modulus], modulus, 2) == expected
+    for column in itertools.permutations(values, 3):
+        fracs = [montecarlo._rational(s % modulus, modulus, bound) for s in column]
+        residues = [-s % modulus for s in column]
+        vec = montecarlo._lift(3, [0, 1, 2], residues, modulus, 4)
+        if None in fracs:
+            assert vec is None
+        else:
+            exact = [Fraction(*f) for f in fracs] + [Fraction(1)]
+            scale = math.lcm(*(x.denominator for x in exact))
+            assert vec == normalize_vector([int(x * scale) for x in exact])
+
+
+def _unimodular(rng, r):
+    # an r x r integer matrix of determinant 1, as lower times upper
+    # unitriangular
+    lower = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(r)]
+             for i in range(r)]
+    upper = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(r)]
+             for i in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)]
+            for row in lower]
+
+
+_WIDE = st.one_of(st.integers(2 ** 15, 2 ** 28 - 1),
+                  st.integers(-(2 ** 28 - 1), -2 ** 15), st.integers(-3, 3))
+
+
+@given(st.integers(1, 5).flatmap(lambda r: st.tuples(
+           st.just(r), st.lists(st.lists(_WIDE, min_size=r, max_size=r),
+                                min_size=1, max_size=4))),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_nullspace_lifts_wide_integer_kernels_from_the_first_prime(shape, seed):
+    # M = A [I | C] with det A = 1 has the integer kernel (-C e_j, e_j),
+    # with entries up to 2^28 - 1: past a lift's bound, yet one prime holds
+    # them, so the first prime's integer vectors pass the exact check
+    r, cols = shape
+    blocks = [[int(i == j) for j in range(r)] + [col[i] for col in cols]
+              for i in range(r)]
+    a = _unimodular(random.Random(seed), r)
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*blocks)]
+            for row in a]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_primes(monkeypatch)
+        assert nullspace(rows) == _frac_nullspace(rows)
+    assert calls == [P]
+
+
+def _shared_denominator_columns(denom):
+    entry = st.integers(-2 ** 28, 2 ** 28).filter(lambda c: math.gcd(c, denom) == 1)
+    return st.tuples(st.just(denom), st.lists(
+        st.lists(entry, min_size=2, max_size=2), min_size=1, max_size=3))
+
+
+@given(st.sampled_from([2 ** 15 + 3, 2 ** 20, 3 ** 13, 2 ** 10 * 3 ** 6 * 7])
+       .flatmap(_shared_denominator_columns))
+@settings(max_examples=60, deadline=None)
+def test_nullspace_takes_crt_for_a_shared_wide_denominator(case):
+    # M = [D I | C] with each entry of C coprime to D: the reduced kernel
+    # vectors have entries -C/D, with denominator D > sqrt(p/2), so neither
+    # a lift nor an integer vector from the first prime passes, and CRT
+    # over further primes gives them
+    denom, cols = case
+    rows = [[denom * int(i == j) for j in range(2)] + [col[i] for col in cols]
+            for i in range(2)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_primes(monkeypatch)
+        assert nullspace(rows) == _frac_nullspace(rows)
+    assert len(calls) >= 2
+
+
 def test_rank_of():
     assert rank_of([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank_of([]) == 0
@@ -574,6 +662,72 @@ def test_diagonal_kernels_are_compared_with_the_closed_form(monkeypatch):
     calls.clear()
     rel_dimension_table(4, 2, SEED)
     assert calls == [3, 2, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_diagonal_draw_stops_at_the_proved_rank(monkeypatch, n):
+    # rank_p <= rank_Q <= k - rel_dim_formula(n) at d = n + 1, so drawing
+    # stops on the row that reaches that rank, not after IDLE_ROWS idle rows
+    from trace_relations.dimensions import rel_dim_formula
+    drawn = []
+    true_draw = montecarlo._draw_rows
+    monkeypatch.setattr(montecarlo, "_draw_rows",
+                        lambda *args: drawn.append(true_draw(*args)) or drawn[-1])
+    certified_kernel(n, n + 1, 13)
+    [(rows, echelon)] = drawn
+    k = len(enumerate_invariant_basis(n + 1))
+    assert echelon.rank == k - rel_dim_formula(n)
+    before = montecarlo._Echelon(k)
+    for row in rows[:-1]:
+        before.add(row)
+    assert before.rank == echelon.rank - 1
+
+
+def _kernel_extra_primes(monkeypatch):
+    # _rref_mod calls under certified_kernel, whose first prime's
+    # elimination is the drawn echelon: each call is an extra prime.
+    # rank_of's calls run outside it and are left out.
+    calls, inside = [], [0]
+    true_kernel = montecarlo.certified_kernel
+    rref_mod = montecarlo._rref_mod
+
+    def kernel(*args):
+        inside[0] += 1
+        try:
+            return true_kernel(*args)
+        finally:
+            inside[0] -= 1
+
+    def counting(rows, p):
+        if inside[0]:
+            calls.append(p)
+        return rref_mod(rows, p)
+
+    monkeypatch.setattr(montecarlo, "certified_kernel", kernel)
+    monkeypatch.setattr(montecarlo, "_rref_mod", counting)
+    return calls
+
+
+def test_kernels_with_wide_integer_entries_take_one_prime(monkeypatch):
+    # both seed-13 kernels at (5, 9) have integer entries past 2^14.5, and
+    # each used to take a second prime
+    calls = _kernel_extra_primes(monkeypatch)
+    find_relations(5, 9, 13)
+    assert calls == []
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="frontier cells; set TRACE_RELATIONS_LONG=1")
+@pytest.mark.parametrize("cell", [(8, 9), (9, 10), (3, 10), (2, 11), "dims"])
+def test_kernels_with_wide_integer_entries_take_one_prime_long(monkeypatch, cell):
+    # each of these used to take one second prime; the dims 10 x 9 table at
+    # seed 5 used to take 11
+    calls = _kernel_extra_primes(monkeypatch)
+    if cell == "dims":
+        rel_dimension_table(10, 9, 5)
+    else:
+        find_relations(*cell, 13)
+    assert calls == []
 
 
 def test_relations_vanish_only_on_smaller_matrices():
@@ -814,8 +968,8 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
     # can certify it
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, seed, b, base=None):
-        rows, _ = true_draw(n, d, seed, b, base)
+    def one_row(n, d, seed, b, base=None, known=0):
+        rows, _ = true_draw(n, d, seed, b, base, known)
         echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
         return rows[:1], echelon
@@ -881,9 +1035,9 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
         bounds.append(b)
         return true_verdicts(vectors, n, d, rng, b)
 
-    def short_first_attempt(n, d, seed, b, base=None):
+    def short_first_attempt(n, d, seed, b, base=None, known=0):
         # one row leaves a kernel too large to certify, so attempt 0 escalates
-        rows, echelon = true_draw(n, d, seed, b, base)
+        rows, echelon = true_draw(n, d, seed, b, base, known)
         if seed.endswith("attempt0"):
             echelon = montecarlo._Echelon(len(rows[0]), P)
             echelon.add(rows[0])

@@ -27,8 +27,9 @@ MONTECARLO_SEED13 = {
     (4, 5): "bb70b429fcf7942326f6cbef477c2ddce8b8b65561341c5eba9773935cfb34d4",
     (3, 8): "41bb1922e54671515a8aba2dd8a091aa693acc0a0633e14ea6a7c4b2fc3246c8",
     (2, 9): "0068e290d780d6ff172887ccbdc5174e1dc8183698adde3e0fb673ce5f054fee",
-    # kernel entries past one prime's reconstruction bound: both kernels,
-    # n = 5 and 6, are lifted by CRT over a second prime
+    # integer kernel entries past one prime's reconstruction bound: both
+    # kernels, n = 5 and 6, are read as integer vectors from the first prime
+    # (they took a second prime by CRT before)
     (5, 9): "9a50683709f7f0737da7cf977399fd830dd923c37af0af3f68d7b3b7ae67e491",
     # the quotient's containment check stacks fewer vectors than k, so
     # rank_of eliminates the transpose

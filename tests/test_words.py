@@ -183,6 +183,14 @@ def test_basis_degrees_and_canonical_words():
             assert w == canonicalize_letters(w)
 
 
+@pytest.mark.parametrize("length", range(1, 13))
+def test_canonical_words_are_every_class_minimum_in_order(length):
+    # exhaustive against canonicalize_letters on all 2^length letter tuples
+    found = {canonicalize_letters(w)
+             for w in itertools.product((X, XT), repeat=length)}
+    assert words.canonical_words(length) == tuple(sorted(found))
+
+
 def _pair_permutation_conjugate(p, g):
     # g permutes tensor factors; slot 2i+e goes to 2g(i)+e
     d = len(g)
