@@ -46,9 +46,9 @@ def sample_matrix(n, rng, b):
     """An n x n sample as the flat row-major tuple of its n^2 integer
     entries, each uniform on [-b, b].
 
-    Each entry is drawn as CPython 3.10-3.12's rng.randint(-b, b) draws it:
-    r = rng.getrandbits(k), k = (2b + 1).bit_length(), redrawn while
-    r >= 2b + 1; the entry is r - b.  Same stream, without randint's
+    Each entry is drawn as CPython's rng.randint(-b, b) draws it, on 3.10
+    to 3.13: r = rng.getrandbits(k), k = (2b + 1).bit_length(), redrawn
+    while r >= 2b + 1; the entry is r - b.  Same stream, without randint's
     per-call argument handling.
     """
     q = 2 * b + 1
@@ -114,13 +114,6 @@ def _is_prime(q):
 # every multiplier p - f of a row update is a single digit, and a packed
 # slot takes 9 bytes (10 from k = 2048 on).
 FIRST_PRIME = 2 ** 30 - 35
-
-
-# Where a column's lift fails or gives a vector that fails the exact check,
-# `nullspace` tries the integer vector that its residues read in the
-# symmetric range, if no entry exceeds this bound, about a quarter of
-# FIRST_PRIME; the exact check decides it.
-INTEGER_CANDIDATE_BOUND = 2 ** 28 - 1
 
 
 def _primes():
@@ -300,51 +293,39 @@ def _signed(vec):
     return tuple(vec)
 
 
-def _integer_vector(fc, pivots, column, modulus, k, bound):
+def _integer_vector(fc, pivots, column, modulus, k):
     """The integer vector with 1 at free column fc and s_i at pivot column
     pivots[i], s_i = -column[i] read in the symmetric range
-    [-modulus/2, modulus/2], signed to a positive leading entry; None if
-    some |s_i| exceeds bound.  Its entry 1 at fc makes it primitive.
+    [-(modulus - 1)/2, (modulus - 1)/2], signed to a positive leading
+    entry.  Its entry 1 at fc makes it primitive.
 
     For odd modulus and half = modulus // 2, (x + half) mod modulus is
     half - s for the symmetric value s of -x, so the whole column is read
-    with two C-level maps and bounded by its min and max.
+    with two C-level maps.
     """
     half = modulus // 2
-    shifted = list(map(modulus.__rmod__, map(half.__add__, column)))
-    if shifted and (min(shifted) < half - bound or max(shifted) > half + bound):
-        return None
     vec = [0] * k
     vec[fc] = 1
-    for pc, t in zip(pivots, shifted):
+    for pc, t in zip(pivots, map(modulus.__rmod__, map(half.__add__, column))):
         vec[pc] = half - t
     return _signed(vec)
 
 
-def _lift(fc, pivots, column, modulus, k):
+def _rational_vector(fc, pivots, column, modulus, k):
     """Primitive integer vector with 1 at free column fc and -column[i] at
-    pivot column pivots[i], lifted from residues mod modulus and scaled to
-    a positive leading entry; None if some entry has no rational
-    reconstruction.
+    pivot column pivots[i], each entry rebuilt as a fraction from its
+    residue mod modulus and the vector scaled to a positive leading entry;
+    None if some entry has no rational reconstruction.
 
-    Reconstruction bounds numerator and denominator by
-    bound = isqrt(modulus // 2).  An entry whose symmetric value s has
-    |s| <= bound reconstructs as exactly (s, 1), so a column whose entries
-    all do is read as one integer vector (`_integer_vector`), with no
-    per-entry reconstruction.
-
-    Otherwise each entry is reconstructed alone.  Scaling the fractions
-    a_i/b_i (each in lowest terms) by denom = lcm(b) already gives a
-    primitive vector.  A prime q dividing denom divides it to the power it
-    has in some b_i, so q does not divide denom/b_i, nor a_i, which is
-    coprime to b_i: q does not divide that entry, a_i denom/b_i.  A prime
-    not dividing denom does not divide the entry denom at fc.  So only the
-    sign is normalized.
+    Each entry is reconstructed alone, numerator and denominator bounded by
+    isqrt(modulus // 2).  Scaling the fractions a_i/b_i (each in lowest
+    terms) by denom = lcm(b) already gives a primitive vector.  A prime q
+    dividing denom divides it to the power it has in some b_i, so q does
+    not divide denom/b_i, nor a_i, which is coprime to b_i: q does not
+    divide that entry, a_i denom/b_i.  A prime not dividing denom does not
+    divide the entry denom at fc.  So only the sign is normalized.
     """
     bound = isqrt(modulus // 2)
-    vec = _integer_vector(fc, pivots, column, modulus, k, bound)
-    if vec is not None:
-        return vec
     fracs = [_rational(-x % modulus, modulus, bound) for x in column]
     if None in fracs:
         return None
@@ -401,33 +382,31 @@ def nullspace(rows, echelon=None):
     p = FIRST_PRIME = 2^30 - 35, gives for each free column fc the vector
     with 1 at fc and -R[i][fc] at each pivot column below fc.  Only the
     free columns of R are read, so only they are back-substituted
-    (`_Echelon.free_rref`).  Each column is lifted by `_lift`: read as one
-    integer vector when every entry's symmetric residue is at most
-    sqrt(p/2), about 2^14.5, else entry by entry by rational
-    reconstruction, which one prime allows while numerator and denominator
-    stay below that bound.  An integer entry past it has no reconstruction
-    or a wrong one, yet one prime holds it up to p/2.  So where a column
-    has no lift, or its lifted vector fails the check, the integer vector
-    its residues read (`_integer_vector`) is tried, if no entry exceeds
-    INTEGER_CANDIDATE_BOUND, about 2^28.  Each vector is a primitive
-    integer vector with positive leading entry, and M v = 0 is checked
-    exactly over the integer rows by `_annihilates`: the columns of M are
-    packed into ints with slots wide enough that no signed slot total can
-    reach 2^(W-1) in size, so M v is a few big-int multiply-adds and a
-    test for zero.
+    (`_Echelon.free_rref`).  Each column is lifted by one rule.  First it
+    is read as the integer vector of its symmetric residues
+    (`_integer_vector`), so one prime holds integer entries up to
+    (p - 1)/2.  Only a column whose integer vector fails the exact check is
+    rebuilt entry by entry as fractions (`_rational_vector`), which one
+    prime allows while numerator and denominator stay below sqrt(p/2),
+    about 2^14.5.  Each vector is a primitive integer vector with positive
+    leading entry, and M v = 0 is checked exactly over the integer rows by
+    `_annihilates`: the columns of M are packed into ints with slots wide
+    enough that no signed slot total can reach 2^(W-1) in size, so M v is
+    a few big-int multiply-adds and a test for zero.
 
     Certificate: the vectors are independent, since each is 1 at its own
     free column and 0 at the others.  If all k - rank_p of them pass, then
     dim ker_Q >= k - rank_p >= k - rank_Q = dim ker_Q, so they span ker_Q,
     and they are its unique basis in this reduced form.  So a vector that
-    passes is that basis vector, however it was lifted or guessed.
+    passes is that basis vector, however it was read.
 
-    If a lift or a check fails, further primes below 2^30 are taken from
-    `_primes`.  Residues of primes whose pivot columns are the best seen so
-    far (most pivots, then earliest) are combined by CRT, and the lift is
-    repeated against their product until every vector passes.  No unchecked
-    vector is returned.  Past the primes a correct run can need, counted
-    after the first failed lift, this raises KernelCertificationError.
+    If a reconstruction is missing or a check fails, further primes below
+    2^30 are taken from `_primes`.  Residues of primes whose pivot columns
+    are the best seen so far (most pivots, then earliest) are combined by
+    CRT, and the same rule is applied to their product until every vector
+    passes.  No unchecked vector is returned.  Past the primes a correct
+    run can need, counted after the first failure, this raises
+    KernelCertificationError.
 
     `echelon`, if given, is an `_Echelon` over FIRST_PRIME already fed with
     exactly these rows; it stands in for the first prime's elimination.
@@ -464,22 +443,15 @@ def nullspace(rows, echelon=None):
         free = [j for j in range(k) if j not in piv_set]
         # R[i][fc] is 0 at every pivot column after fc
         columns = [[row[t] for row in residues] for t in range(len(free))]
-
-        def integer(t):
-            return _integer_vector(free[t], pivots, columns[t], modulus, k,
-                                   INTEGER_CANDIDATE_BOUND)
-
-        basis = [_lift(fc, pivots, column, modulus, k) or integer(t)
-                 for t, (fc, column) in enumerate(zip(free, columns))]
-        if None not in basis:
-            # an integer entry past the lift's bound can also reconstruct as
-            # a wrong fraction: retry each failed column as an integer vector
-            failed = [t for t, ok in enumerate(_annihilates(rows, basis)) if not ok]
-            guesses = list(map(integer, failed))
-            if None not in guesses and all(_annihilates(rows, guesses)):
-                for t, vec in zip(failed, guesses):
-                    basis[t] = vec
-                return basis
+        basis = [_integer_vector(fc, pivots, column, modulus, k)
+                 for fc, column in zip(free, columns)]
+        failed = [t for t, ok in enumerate(_annihilates(rows, basis)) if not ok]
+        rebuilt = [_rational_vector(free[t], pivots, columns[t], modulus, k)
+                   for t in failed]
+        if None not in rebuilt and all(_annihilates(rows, rebuilt)):
+            for t, vec in zip(failed, rebuilt):
+                basis[t] = vec
+            return basis
         if limit is None:
             # Hadamard: no minor exceeds h = norm^min(m, k), so a lift needs
             # 2 bits(h) + 1 bits of modulus, and at most bits(h) / 29 primes

@@ -37,7 +37,7 @@ def test_sample_matrix_deterministic_and_bounded():
 @pytest.mark.parametrize("bound", [1, 10, 20, 80])
 def test_sample_matrix_draws_the_randint_stream(bound):
     # The draws, and so every row and relation, are those of
-    # rng.randint(-B, B) entry by entry, as on CPython 3.10-3.12.
+    # rng.randint(-B, B) entry by entry, as on CPython 3.10 to 3.13.
     for seed in range(200):
         for n in (1, 4):
             rng = random.Random(seed)
@@ -198,13 +198,22 @@ def _count_primes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("entry,primes", [(2 ** 14, 1), (2 ** 20, 2)])
-def test_nullspace_entry_sizes_take_one_or_two_primes(monkeypatch, entry, primes):
-    # the kernel vector reads -1/entry at the pivot: one prime reconstructs
-    # a denominator up to about sqrt(p/2) ~ 2^14.5; 2^20 needs the CRT
-    # product of two
+_HALF = (montecarlo.FIRST_PRIME - 1) // 2
+
+
+@pytest.mark.parametrize("kind,entry,primes", [
+    ("denominator", 2 ** 14, 1), ("denominator", 2 ** 20, 2),
+    ("integer", 2 ** 28, 1), ("integer", _HALF, 1), ("integer", _HALF + 1, 2)])
+def test_nullspace_entry_sizes_take_one_or_two_primes(monkeypatch, kind, entry, primes):
+    # [[entry, 1]]'s kernel vector reads -1/entry at the pivot: one prime
+    # reconstructs a denominator up to about sqrt(p/2) ~ 2^14.5, and 2^20
+    # needs the CRT product of two.  [[1, entry]]'s reads the integer
+    # -entry: one prime holds it up to (p - 1)/2, and (p + 1)/2 needs two
     calls = _count_primes(monkeypatch)
-    assert nullspace([[entry, 1]]) == [(1, -entry)]
+    if kind == "denominator":
+        assert nullspace([[entry, 1]]) == [(1, -entry)]
+    else:
+        assert nullspace([[1, entry]]) == [(entry, -1)]
     assert calls == list(itertools.islice(montecarlo._primes(), primes))
 
 
@@ -473,7 +482,7 @@ _WIDE_DENOMINATORS = [2 ** 40, 3 ** 25, 2 ** 10 * 3 ** 6 * 5 ** 4 * 7 ** 3]
 @settings(max_examples=150, deadline=None)
 def test_lift_is_primitive_without_a_gcd(numerators, denom, fc):
     # entries x_i = a_i / D over one wide D, reconstructed against the CRT
-    # product of three primes: the lifted vector is scaled by lcm of the
+    # product of three primes: the rebuilt vector is scaled by lcm of the
     # reduced denominators only, and is already primitive and signed
     modulus = math.prod(PRIMES)
     k = len(numerators) + 1
@@ -481,7 +490,7 @@ def test_lift_is_primitive_without_a_gcd(numerators, denom, fc):
     pivots = [j for j in range(k) if j != fc]
     fracs = [Fraction(a, denom) for a in numerators]
     column = [-_residue(x, modulus) % modulus for x in fracs]
-    vec = montecarlo._lift(fc, pivots, column, modulus, k)
+    vec = montecarlo._rational_vector(fc, pivots, column, modulus, k)
     assert vec == normalize_vector(vec)
     exact = [Fraction(1) if j == fc else None for j in range(k)]
     for pc, x in zip(pivots, fracs):
@@ -492,28 +501,35 @@ def test_lift_is_primitive_without_a_gcd(numerators, denom, fc):
 
 @pytest.mark.parametrize("modulus", [P, PRIMES[0] * PRIMES[1]])
 def test_lift_reads_whole_integer_columns_as_per_entry_reconstruction(modulus):
-    # an entry whose symmetric value s has |s| <= isqrt(modulus // 2)
-    # reconstructs as exactly (s, 1), so a column of them is read at once;
-    # one entry past the bound sends the column entry by entry
+    # a column is read as the integer vector of its symmetric residues, s
+    # exactly for every |s| <= (modulus - 1)/2; an entry with |s| <=
+    # isqrt(modulus // 2) also reconstructs as exactly (s, 1), so there the
+    # per-entry fractions give the same vector
     bound = math.isqrt(modulus // 2)
-    values = (0, 1, -1, bound, -bound, bound + 1, -(bound + 1))
+    half = (modulus - 1) // 2
+    values = [0] + [sign * s for s in (1, bound, bound + 1, 2 ** 28, half)
+                    for sign in (1, -1)]
     for s in values:
+        whole = montecarlo._integer_vector(1, [0], [-s % modulus], modulus, 2)
+        assert whole == normalize_vector((s, 1))
         frac = montecarlo._rational(s % modulus, modulus, bound)
         assert (frac == (s, 1)) == (abs(s) <= bound)
-        whole = montecarlo._integer_vector(1, [0], [-s % modulus], modulus, 2, bound)
-        assert whole == (normalize_vector((s, 1)) if abs(s) <= bound else None)
-        expected = None if frac is None else normalize_vector(frac)
-        assert montecarlo._lift(1, [0], [-s % modulus], modulus, 2) == expected
+        rebuilt = montecarlo._rational_vector(1, [0], [-s % modulus], modulus, 2)
+        assert rebuilt == (None if frac is None else normalize_vector(frac))
     for column in itertools.permutations(values, 3):
-        fracs = [montecarlo._rational(s % modulus, modulus, bound) for s in column]
         residues = [-s % modulus for s in column]
-        vec = montecarlo._lift(3, [0, 1, 2], residues, modulus, 4)
+        whole = montecarlo._integer_vector(3, [0, 1, 2], residues, modulus, 4)
+        assert whole == normalize_vector(column + (1,))
+        fracs = [montecarlo._rational(s % modulus, modulus, bound) for s in column]
+        rebuilt = montecarlo._rational_vector(3, [0, 1, 2], residues, modulus, 4)
         if None in fracs:
-            assert vec is None
+            assert rebuilt is None
         else:
             exact = [Fraction(*f) for f in fracs] + [Fraction(1)]
             scale = math.lcm(*(x.denominator for x in exact))
-            assert vec == normalize_vector([int(x * scale) for x in exact])
+            assert rebuilt == normalize_vector([int(x * scale) for x in exact])
+            if all(abs(s) <= bound for s in column):
+                assert rebuilt == whole
 
 
 def _unimodular(rng, r):
@@ -527,8 +543,8 @@ def _unimodular(rng, r):
             for row in lower]
 
 
-_WIDE = st.one_of(st.integers(2 ** 15, 2 ** 28 - 1),
-                  st.integers(-(2 ** 28 - 1), -2 ** 15), st.integers(-3, 3))
+_WIDE = st.one_of(st.integers(2 ** 15, (P - 1) // 2),
+                  st.integers(-((P - 1) // 2), -2 ** 15), st.integers(-3, 3))
 
 
 @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
@@ -538,8 +554,9 @@ _WIDE = st.one_of(st.integers(2 ** 15, 2 ** 28 - 1),
 @settings(max_examples=120, deadline=None)
 def test_nullspace_lifts_wide_integer_kernels_from_the_first_prime(shape, seed):
     # M = A [I | C] with det A = 1 has the integer kernel (-C e_j, e_j),
-    # with entries up to 2^28 - 1: past a lift's bound, yet one prime holds
-    # them, so the first prime's integer vectors pass the exact check
+    # with entries up to (p - 1)/2: past reconstruction's bound, yet one
+    # prime holds them, so the first prime's integer vectors pass the exact
+    # check
     r, cols = shape
     blocks = [[int(i == j) for j in range(r)] + [col[i] for col in cols]
               for i in range(r)]
@@ -564,8 +581,8 @@ def _shared_denominator_columns(denom):
 def test_nullspace_takes_crt_for_a_shared_wide_denominator(case):
     # M = [D I | C] with each entry of C coprime to D: the reduced kernel
     # vectors have entries -C/D, with denominator D > sqrt(p/2), so neither
-    # a lift nor an integer vector from the first prime passes, and CRT
-    # over further primes gives them
+    # the integer vector nor the per-entry fractions from the first prime
+    # pass, and CRT over further primes gives them
     denom, cols = case
     rows = [[denom * int(i == j) for j in range(2)] + [col[i] for col in cols]
             for i in range(2)]
@@ -713,6 +730,22 @@ def test_kernels_with_wide_integer_entries_take_one_prime(monkeypatch):
     # each used to take a second prime
     calls = _kernel_extra_primes(monkeypatch)
     find_relations(5, 9, 13)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["relations", "dims"])
+def test_workload_kernels_are_read_as_integer_vectors(monkeypatch, command):
+    # every kernel column of these cells, the ambient and containment ones
+    # included, passes as the integer vector of its residues, so no column
+    # is rebuilt from fractions
+    calls = []
+    rational_vector = montecarlo._rational_vector
+    monkeypatch.setattr(montecarlo, "_rational_vector",
+                        lambda *args: calls.append(args) or rational_vector(*args))
+    if command == "dims":
+        rel_dimension_table(7, 2, 5)
+    else:
+        find_relations(4, 7, 13)
     assert calls == []
 
 
