@@ -68,8 +68,14 @@ def cmd_relations(args):
     else:
         rs = find_relations(args.n, args.d, seed)
     elapsed = time.perf_counter() - t0
-    # at d = n + 1 both engines compare their count with rel_dim_formula(n)
-    certificate = " certificate=closed-form" if rs.d == rs.n + 1 else ""
+    # Every certified count is compared with a proved one: at d = n + 1 the
+    # paper's closed form rel_dim_formula(n), which kernel_dim equals there;
+    # past it, kernel_dim for both kernels of the quotient.
+    certificate = ""
+    if rs.d == rs.n + 1:
+        certificate = " certificate=closed-form"
+    elif rs.d > rs.n + 1:
+        certificate = " certificate=proved"
     print(f"# n={rs.n} d={rs.d}: k={len(rs.basis)} relations={len(rs.relations)} "
           f"method={rs.method} wall={elapsed:.2f}s{certificate}", file=sys.stderr)
     _emit(rs.to_json(), args.output)

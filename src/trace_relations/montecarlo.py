@@ -3,9 +3,10 @@
 Samples integer matrices, evaluates every spanning invariant on each sample,
 and computes the exact rational null space of the resulting evaluation
 matrix.  Any true relation lies in that null space for every sample choice,
-so the kernel can only be too large, never too small; a certification round
-on fresh samples (with escalation of the entry bound) removes spurious
-vectors with overwhelming probability.
+so the kernel can only be too large, never too small.  Rows are drawn
+until the rank reaches the one the proved kernel dimension allows, where
+the null space is exactly the kernel; a certification round on fresh
+samples (with escalation of the entry bound) still checks every vector.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import compress, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .dimensions import rel_dim_formula, stable_range
+from .dimensions import kernel_dim, stable_range
 # evaluate_monomial is unused here but stays importable from this module:
 # benchmark/spans.py traces calls through montecarlo.evaluate_monomial.
 from .evaluate import evaluate_basis_row, evaluate_monomial  # noqa: F401
@@ -613,18 +614,18 @@ MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, seed, b, base=None, known=0):
+def _draw_rows(n, d, seed, b, base, known):
     """The rows of `base`, then a prefix of the k + IDLE_ROWS rows drawn
     from stream(seed, "rows") with entry bound b (build_evaluation_matrix's
     rows when b = ENTRY_BOUND), and the echelon form over GF(FIRST_PRIME) of
     them all.
 
     `base`, if given, is the (rows, echelon) pair of `certified_kernel` on
-    smaller samples; it is copied, not changed.  `known` is a proved lower
-    bound on the dimension of the true kernel, so k - known bounds the rank
-    over Q, and with it the GF(p) rank.  Rows are drawn until the rank
-    reaches k - known, or IDLE_ROWS consecutive rows leave it unchanged, or
-    k + IDLE_ROWS rows are drawn.
+    smaller samples; it is copied, not changed.  `known` is the proved
+    dimension of the true kernel, so k - known is the rank over Q that the
+    rows can reach, and a GF(p) rank never exceeds it.  Rows are drawn until
+    the rank reaches k - known, or IDLE_ROWS consecutive rows leave it
+    unchanged (a stall), or k + IDLE_ROWS rows are drawn.
     """
     k = len(enumerate_invariant_basis(d))
     if base is None:
@@ -648,14 +649,16 @@ def certified_kernel(n, d, seed, base=None):
     GF(FIRST_PRIME).  Escalates the entry bound (doubling, reseeded) on
     verification failure.
 
-    Rows are drawn one at a time, and drawing stops once IDLE_ROWS
-    consecutive rows leave the GF(p) rank unchanged, or the rank reaches
-    the most it can (`_draw_rows`); never more than k + IDLE_ROWS rows are
-    drawn.  The rows are a prefix of the k + IDLE_ROWS rows of
-    build_evaluation_matrix, whose kernel contains the true one.  A prefix
-    that stops before the rank has settled only yields extra vectors, which
-    certification rejects, so stopping early can cost escalations but never
-    changes the result.
+    The true kernel K_n(d) has the proved dimension kernel_dim(n, d), read
+    after the basis cap check.  Rows are drawn one at a time until the
+    GF(p) rank reaches k - kernel_dim(n, d) (`_draw_rows`).  A GF(p) rank
+    never exceeds the rank over Q, which never exceeds k - kernel_dim(n, d)
+    since every row vanishes on K_n.  So at that rank ker_Q(M) is K_n
+    itself, and later rows cannot change it.  If IDLE_ROWS consecutive rows
+    leave the rank unchanged, drawing stops short; the rows are then a
+    prefix of the k + IDLE_ROWS rows of build_evaluation_matrix, and the
+    extra vectors they leave fail certification, so a stall costs
+    escalations but never changes the result.
 
     `base`, if given, is the (rows, echelon) of a kernel certified on
     smaller samples, m x m with m < n.  Every attempt stacks its drawn rows
@@ -664,17 +667,14 @@ def certified_kernel(n, d, seed, base=None):
     and since `nullspace` checks M v = 0 exactly on every stacked row, the
     result lies in the span of the base's kernel by construction.
 
-    At d = n + 1 the kernel is the whole degree-d relation space, since the
-    (n+1) kernel is trivial there, and its dimension is the closed form
-    rel_dim_formula(n), computed once.  A GF(p) rank never exceeds the rank
-    over Q, which never exceeds k - rel_dim_formula(n), so drawing stops
-    when the GF(p) rank reaches that: ker_Q(M) is then the relation space,
-    and later rows cannot change it.  Elsewhere the cap is k.  The
-    certified vectors are an exact basis of a space that contains the
-    relation space, so a count that differs from the closed form raises
-    KernelCertificationError.
+    The certified vectors are an exact basis of a space that contains K_n,
+    so a count that differs from kernel_dim(n, d) raises
+    KernelCertificationError: a table entry too small stalls below the
+    target rank and leaves K_n's own dimension, one too large leaves vectors
+    that fresh samples reject until escalation runs out.
     """
-    known = rel_dim_formula(n) if d == n + 1 else 0
+    k = len(enumerate_invariant_basis(d))
+    known = kernel_dim(n, d)
     for attempt in range(MAX_ESCALATIONS + 1):
         attempt_seed = f"{seed}:n{n}:attempt{attempt}"
         b = ENTRY_BOUND << attempt
@@ -682,10 +682,10 @@ def certified_kernel(n, d, seed, base=None):
         vectors = nullspace(rows, echelon)
         vrng = stream(attempt_seed, "verify")
         if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
-            if d == n + 1 and len(vectors) != known:
+            if len(vectors) != known:
                 raise KernelCertificationError(
                     f"kernel for n={n}, d={d} has dimension {len(vectors)}, "
-                    f"but the closed form gives {known}")
+                    f"but the proved count is {known} of k={k}")
             return vectors, (rows, echelon)
     raise KernelCertificationError(
         f"kernel for n={n}, d={d} failed certification after "
@@ -708,9 +708,9 @@ def find_relations(n, d, seed):
     The (n+1) kernel is certified on top of the n x n rows
     (`certified_kernel`'s `base`), so it lies in the span of the n kernel
     by construction.  The exact rank check of that containment still runs,
-    only because the benchmark's traced quotient metrics read it.  At
-    d = n + 1 the kernel's dimension is checked against the closed form
-    rel_dim_formula(n) (`certified_kernel`).
+    only because the benchmark's traced quotient metrics read it.  Every
+    certified kernel's dimension is checked against its proved count
+    kernel_dim (`certified_kernel`).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
@@ -744,9 +744,9 @@ def rel_dimension_table(max_d, max_n, seed):
     degree, K_1, ..., K_{min(max_n + 1, d - 1)} are certified as one chain:
     each K_{m+1} is certified on top of K_m's rows (`certified_kernel`'s
     `base`), so it lies in span(K_m) by construction and the count is a
-    difference of dimensions, with no rank computation.  The last kernel of
-    each chain that reaches m = d - 1 is checked against the closed form
-    rel_dim_formula(d - 1) (`certified_kernel`).
+    difference of dimensions, with no rank computation.  Every kernel of
+    the chain is checked against its proved count kernel_dim
+    (`certified_kernel`).
     """
     table = {}
     # largest degree first, so the basis cap fails before any cell is computed

@@ -4,11 +4,14 @@ They check the package from outside: the tensor contraction certifies the
 matching -> trace-word convention, the matching enumeration certifies the
 invariant basis, and the counts (perfect matchings, Catalan numbers,
 parts-at-most-two partitions, symmetrizer terms) check the closed form
-`rel_dim_formula` and the tableau and group sizes.  The column-sum
+`rel_dim_formula` and the tableau and group sizes.  The
+Murnaghan-Nakayama characters recompute the kernel-dimension table
+`dimensions.KERNEL_DIMS`.  The column-sum
 identity check certifies the packed one in `montecarlo.nullspace`.  The
 cached quasi-idempotency sweep is shared by the tests that assert on it.
 """
 
+import collections
 import functools
 import itertools
 from math import comb, factorial, isqrt, prod
@@ -146,3 +149,61 @@ def two_part_partitions(m):
         ones = m - 2 * twos
         out.append((2,) * twos + (1,) * ones)
     return out
+
+
+@functools.cache
+def _rim_hook_sum(beads, cycles):
+    """chi^lambda(rho) by the Murnaghan-Nakayama rule, lambda given by its
+    beta-set as the bits of `beads` and rho by its parts in descending
+    order.  Removing a rim hook of length r moves a bead from position b to
+    the free position b - r, with sign (-1)^(beads strictly between)."""
+    if not cycles:
+        return 1
+    r, rest = cycles[0], cycles[1:]
+    total, b = 0, beads
+    while b:
+        top = b.bit_length() - 1
+        b ^= 1 << top
+        if top >= r and not (beads >> (top - r)) & 1:
+            between = bin((beads >> (top - r + 1)) & ((1 << (r - 1)) - 1)).count("1")
+            total += (-1) ** between * _rim_hook_sum(
+                beads ^ (1 << top) ^ (1 << (top - r)), rest)
+    return total
+
+
+def character(shape, cycles):
+    """The irreducible character chi^shape of S_|shape| at a permutation of
+    cycle type `cycles` (any order)."""
+    length = len(shape)
+    beads = sum(1 << (part + length - 1 - i) for i, part in enumerate(shape))
+    return _rim_hook_sum(beads, tuple(sorted(cycles, reverse=True)))
+
+
+def centralizer_order(rho):
+    """z_rho = prod_i i^(c_i) c_i!, c_i the number of parts i of rho, so
+    that the class of cycle type rho has |S_d| / z_rho elements."""
+    return prod(i ** c * factorial(c) for i, c in collections.Counter(rho).items())
+
+
+@functools.cache
+def doubled_shape_multiplicities(d):
+    """{mu: m(2 mu)} over the partitions mu of d, where
+    m(lambda) = (1/d!) sum_{rho |- d} |C_rho| chi^lambda(rho u rho)
+    counts the vectors of the S_{2d}-module of shape lambda fixed by S_d
+    permuting d slot pairs; 2 mu doubles every part of mu."""
+    out = {}
+    rhos = list(all_partitions(d))
+    for mu in all_partitions(d):
+        doubled = tuple(2 * part for part in mu)
+        total = 0
+        for rho in rhos:
+            total += factorial(d) // centralizer_order(rho) * character(doubled, rho + rho)
+        out[mu], rest = divmod(total, factorial(d))
+        if rest:
+            raise ArithmeticError(f"m(2 mu) is not an integer at mu = {mu}")
+    return out
+
+
+def kernel_dim_oracle(n, d):
+    """dim K_n(d) = sum over mu |- d with more than n parts of m(2 mu)."""
+    return sum(m for mu, m in doubled_shape_multiplicities(d).items() if len(mu) > n)

@@ -81,11 +81,22 @@ def test_relations_symmetrizer_requires_diagonal(capsys):
 
 def test_relations_reports_no_rank(capsys):
     # k - relations is the evaluation rank only for d <= n + 1; at (2, 6)
-    # it would be 31, while the 2 x 2 evaluation rank is 44 - 34 = 10
+    # it would be 31, while the 2 x 2 evaluation rank is 44 - 34 = 10.  Both
+    # kernels of the quotient matched their proved kernel_dim.
     rc, out, err = run(capsys, "relations", "--n", "2", "--d", "6", "--seed", "3")
     assert rc == 0
     assert re.fullmatch(r"# n=2 d=6: k=44 relations=13 method=montecarlo "
-                        r"wall=\d+\.\d\ds\n", err)
+                        r"wall=\d+\.\d\ds certificate=proved\n", err)
+
+
+@pytest.mark.parametrize("argv", [("relations", "--n", "2", "--d", "15"),
+                                  ("dims", "--max-d", "15", "--max-n", "2")],
+                         ids=["relations", "dims"])
+def test_degree_past_the_cap_exits_3_before_any_count(capsys, argv):
+    # the basis cap is checked before the kernel_dim table is read
+    rc, out, err = run(capsys, *argv, "--seed", "1")
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and "cap" in err
 
 
 @pytest.mark.parametrize("method", ["montecarlo", "symmetrizer"])
@@ -455,26 +466,25 @@ def test_relations_symmetrizer_certification_failure(capsys, monkeypatch, patch)
 
 
 @pytest.mark.parametrize("argv,checked", [
-    (("relations", "--n", "2", "--d", "3"), [2]),
-    (("relations", "--n", "1", "--d", "3"), [2]),
-    (("dims", "--max-d", "3", "--max-n", "1"), [2]),
-    (("relations", "--n", "1", "--d", "4"), [])],
+    (("relations", "--n", "2", "--d", "3"), (2, 3)),
+    (("relations", "--n", "1", "--d", "3"), (1, 3)),
+    (("dims", "--max-d", "3", "--max-n", "1"), (1, 3)),
+    (("relations", "--n", "1", "--d", "4"), (1, 4))],
     ids=["diagonal", "ambient_on_diagonal", "dims", "off_diagonal"])
 def test_relations_diagonal_kernel_checked_against_closed_form(
         capsys, monkeypatch, argv, checked):
-    # every kernel certified at d = n + 1 is the whole relation space, so
-    # its dimension must be rel_dim_formula(n); a mismatch exits 4.  Off
-    # the diagonal, K_1 and K_2 at d = 4 are not compared.
+    # every certified kernel's dimension must be its proved count
+    # kernel_dim(n, d), which is the closed form rel_dim_formula(n) at
+    # d = n + 1; a mismatch exits 4 with a one-line error, off the diagonal
+    # as on it
     calls = []
-    monkeypatch.setattr(montecarlo, "rel_dim_formula",
-                        lambda n: calls.append(n) or 99)
+    monkeypatch.setattr(montecarlo, "kernel_dim",
+                        lambda n, d: calls.append((n, d)) or 99)
     rc, out, err = run(capsys, *argv, "--seed", "1")
-    assert calls[:1] == checked
-    if checked:
-        assert (rc, out) == (4, "")
-        assert err.startswith("error: ") and "closed form" in err
-    else:
-        assert rc == 0
+    assert calls == [checked]
+    assert (rc, out) == (4, "")
+    assert re.fullmatch(r"error: kernel for n=\d+, d=\d+ has dimension \d+, "
+                        r"but the proved count is 99 of k=\d+\n", err)
 
 
 def _no_sampling(*args):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from trace_relations import montecarlo
 from trace_relations.cli import main
+from trace_relations.dimensions import kernel_dim
 from trace_relations.montecarlo import (
     ENTRY_BOUND, KernelCertificationError, RelationSet,
     build_evaluation_matrix, certification_trials, certified_kernel,
@@ -666,19 +667,45 @@ def test_theorem_diagonal_long(n):
 
 
 def test_diagonal_kernels_are_compared_with_the_closed_form(monkeypatch):
-    # relations at d = n + 1 checks K_n, and at d = n + 2 its ambient
-    # K_{n+1}; dims checks the K_{d-1} that ends each degree's chain
+    # every certified kernel is compared with its proved count kernel_dim,
+    # which is the closed form at d = n + 1: relations checks K_n and, past
+    # d = n + 1, the ambient K_{n+1}; dims checks every kernel of each
+    # degree's chain
     calls = []
-    formula = montecarlo.rel_dim_formula
-    monkeypatch.setattr(montecarlo, "rel_dim_formula",
-                        lambda n: calls.append(n) or formula(n))
+    true_dim = montecarlo.kernel_dim
+    monkeypatch.setattr(montecarlo, "kernel_dim",
+                        lambda n, d: calls.append((n, d)) or true_dim(n, d))
     find_relations(3, 4, SEED)
     find_relations(2, 4, SEED)
     find_relations(1, 4, SEED)
-    assert calls == [3, 3]
+    assert calls == [(3, 4), (2, 4), (3, 4), (1, 4), (2, 4)]
     calls.clear()
     rel_dimension_table(4, 2, SEED)
-    assert calls == [3, 2, 1]
+    assert calls == [(1, 4), (2, 4), (3, 4), (1, 3), (2, 3), (1, 2)]
+
+
+def _draws(monkeypatch):
+    # the (rows, echelon) pair of every _draw_rows call, with its n and d
+    drawn = []
+    true_draw = montecarlo._draw_rows
+
+    def recording(n, d, *args):
+        drawn.append((n, d, true_draw(n, d, *args)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(montecarlo, "_draw_rows", recording)
+    return drawn
+
+
+def _assert_each_draw_stopped_on_its_target(drawn):
+    # the last row drawn raised the rank to k - kernel_dim(n, d)
+    for n, d, (rows, echelon) in drawn:
+        k = len(enumerate_invariant_basis(d))
+        assert echelon.rank == k - kernel_dim(n, d)
+        before = montecarlo._Echelon(k)
+        for row in rows[:-1]:
+            before.add(row)
+        assert before.rank == echelon.rank - 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -686,18 +713,39 @@ def test_diagonal_draw_stops_at_the_proved_rank(monkeypatch, n):
     # rank_p <= rank_Q <= k - rel_dim_formula(n) at d = n + 1, so drawing
     # stops on the row that reaches that rank, not after IDLE_ROWS idle rows
     from trace_relations.dimensions import rel_dim_formula
-    drawn = []
-    true_draw = montecarlo._draw_rows
-    monkeypatch.setattr(montecarlo, "_draw_rows",
-                        lambda *args: drawn.append(true_draw(*args)) or drawn[-1])
+    drawn = _draws(monkeypatch)
     certified_kernel(n, n + 1, 13)
-    [(rows, echelon)] = drawn
-    k = len(enumerate_invariant_basis(n + 1))
-    assert echelon.rank == k - rel_dim_formula(n)
-    before = montecarlo._Echelon(k)
-    for row in rows[:-1]:
-        before.add(row)
-    assert before.rank == echelon.rank - 1
+    [(_, _, (_, echelon))] = drawn
+    assert echelon.rank == len(enumerate_invariant_basis(n + 1)) - rel_dim_formula(n)
+    _assert_each_draw_stopped_on_its_target(drawn)
+
+
+@pytest.mark.parametrize("run,draws", [(lambda: find_relations(4, 7, 5), 2),
+                                       (lambda: rel_dimension_table(7, 2, 5), 15)],
+                         ids=["relations-4-7", "dims-7x2"])
+def test_every_draw_stops_at_the_proved_rank(monkeypatch, run, draws):
+    # the same off the diagonal, at k - kernel_dim(n, d); a nested kernel's
+    # rank counts its base rows too.  relations (4, 7) draws K_4 and K_5;
+    # dims 7 x 2 draws K_1..K_3 per degree.
+    drawn = _draws(monkeypatch)
+    run()
+    assert len(drawn) == draws
+    _assert_each_draw_stopped_on_its_target(drawn)
+
+
+@pytest.mark.parametrize("n,d,error", [(2, 3, -1), (1, 5, -1), (3, 6, -1), (4, 7, -1),
+                                       (2, 3, 1), (2, 4, 1), (1, 5, 1)])
+def test_a_wrong_kernel_dim_fails_certification(monkeypatch, n, d, error):
+    # too small a count sets a rank the rows cannot reach, so drawing stalls
+    # and the certified kernel has the true dimension, not the count; too
+    # large a count stops short and leaves vectors that fresh samples reject
+    # on every escalation (or, with a target rank of 0, stalls as well).
+    # Too large a count runs on small cells only: the vector it leaves is
+    # one of large fractions, which nullspace lifts through many primes.
+    true_dim = montecarlo.kernel_dim
+    monkeypatch.setattr(montecarlo, "kernel_dim", lambda m, e: true_dim(m, e) + error)
+    with pytest.raises(KernelCertificationError):
+        certified_kernel(n, d, SEED)
 
 
 def _kernel_extra_primes(monkeypatch):
@@ -1001,7 +1049,7 @@ def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
     # can certify it
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, seed, b, base=None, known=0):
+    def one_row(n, d, seed, b, base, known):
         rows, _ = true_draw(n, d, seed, b, base, known)
         echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
@@ -1068,7 +1116,7 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
         bounds.append(b)
         return true_verdicts(vectors, n, d, rng, b)
 
-    def short_first_attempt(n, d, seed, b, base=None, known=0):
+    def short_first_attempt(n, d, seed, b, base, known):
         # one row leaves a kernel too large to certify, so attempt 0 escalates
         rows, echelon = true_draw(n, d, seed, b, base, known)
         if seed.endswith("attempt0"):
