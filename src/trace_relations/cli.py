@@ -11,7 +11,7 @@ import random
 import sys
 import time
 
-from .montecarlo import (ENTRY_BOUND, METHOD_MONTECARLO, METHOD_SYMMETRIZER,
+from .montecarlo import (METHOD_MONTECARLO, METHOD_SYMMETRIZER,
                          KernelCertificationError, RelationSet,
                          certified_kernel, find_relations,
                          fresh_sample_verdicts, rank_of, rel_dimension_table,
@@ -115,7 +115,7 @@ def cmd_verify(args):
         print("PASS (vacuous)")
         return EXIT_OK
     verdicts = fresh_sample_verdicts(rs.relations, rs.n, rs.d,
-                                     stream(seed, "cli-verify"), ENTRY_BOUND)
+                                     stream(seed, "cli-verify"))
     for i, ok in enumerate(verdicts):
         print(f"relation {i}: {'PASS' if ok else 'FAIL'}")
     failures = verdicts.count(False)

@@ -5,8 +5,8 @@ and computes the exact rational null space of the resulting evaluation
 matrix.  Any true relation lies in that null space for every sample choice,
 so the kernel can only be too large, never too small.  Rows are drawn
 until the rank reaches the one the proved kernel dimension allows, where
-the null space is exactly the kernel; a certification round on fresh
-samples (with escalation of the entry bound) still checks every vector.
+the null space is exactly the kernel; one certification round on fresh
+samples still checks every vector.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ class KernelCertificationError(Exception):
     """A computed relation basis failed certification (CLI exit 4)."""
 
 
-# Samples have entries uniform on [-B, B], B = ENTRY_BOUND on a first
-# attempt; each escalation doubles B.
+# Every sample, for kernel rows and fresh checks alike, has entries uniform
+# on [-B, B], B = ENTRY_BOUND; 2B + 1 = 21 exceeds every degree the basis cap
+# allows (d <= 14), so `certification_trials` always has a bound.
 ENTRY_BOUND = 10
 
 
@@ -64,22 +65,21 @@ def sample_matrix(n, rng, b):
     return tuple(entries)
 
 
-def _evaluation_rows(n, d, rng, b):
+def _evaluation_rows(n, d, rng):
     """The degree-d basis invariants on each successive sample drawn from
-    `rng` with entry bound b.
+    `rng` with entry bound ENTRY_BOUND.
 
     Zero matrices satisfy every relation vacuously, so they are skipped.
     """
     while True:
-        x = sample_matrix(n, rng, b)
+        x = sample_matrix(n, rng, ENTRY_BOUND)
         if any(x):
             yield evaluate_basis_row(d, x)
 
 
 def build_evaluation_matrix(n, d, m, seed):
-    """m x k matrix of the first m rows drawn from stream(seed, "rows") at
-    entry bound ENTRY_BOUND."""
-    return list(islice(_evaluation_rows(n, d, stream(seed, "rows"), ENTRY_BOUND), m))
+    """m x k matrix of the first m rows drawn from stream(seed, "rows")."""
+    return list(islice(_evaluation_rows(n, d, stream(seed, "rows")), m))
 
 
 def normalize_vector(vec):
@@ -501,10 +501,10 @@ def certification_trials(entry_bound, d):
     return t
 
 
-def fresh_sample_verdicts(vectors, n, d, rng, b):
+def fresh_sample_verdicts(vectors, n, d, rng):
     """For each vector, whether it is nonzero and annihilates each of
-    certification_trials(b, d) fresh samples with entry bound b drawn from
-    `rng`, checked exactly by `_annihilates` on their evaluation rows.
+    certification_trials(ENTRY_BOUND, d) fresh samples drawn from `rng`,
+    checked exactly by `_annihilates` on their evaluation rows.
 
     All vectors share the samples; each one still meets every independent
     draw, so its Schwartz-Zippel bound is what it would be alone.  For
@@ -512,7 +512,8 @@ def fresh_sample_verdicts(vectors, n, d, rng, b):
     """
     if not vectors or stable_range(d, n):
         return [False] * len(vectors)
-    rows = list(islice(_evaluation_rows(n, d, rng, b), certification_trials(b, d)))
+    trials = certification_trials(ENTRY_BOUND, d)
+    rows = list(islice(_evaluation_rows(n, d, rng), trials))
     return [any(v) and ok for v, ok in zip(vectors, _annihilates(rows, vectors))]
 
 
@@ -521,7 +522,7 @@ def verify_relation(coeffs, n, d, rng):
     certification_trials(ENTRY_BOUND, d) fresh exact samples."""
     if len(coeffs) != len(enumerate_invariant_basis(d)):
         raise ValueError("coefficient length does not match basis size")
-    [ok] = fresh_sample_verdicts([coeffs], n, d, rng, ENTRY_BOUND)
+    [ok] = fresh_sample_verdicts([coeffs], n, d, rng)
     return ok
 
 
@@ -610,34 +611,29 @@ class RelationSet:
         return rs
 
 
-MAX_ESCALATIONS = 3
 IDLE_ROWS = 10
 
 
-def _draw_rows(n, d, seed, b, base, known):
-    """The rows of `base`, then a prefix of the k + IDLE_ROWS rows drawn
-    from stream(seed, "rows") with entry bound b (build_evaluation_matrix's
-    rows when b = ENTRY_BOUND), and the echelon form over GF(FIRST_PRIME) of
-    them all.
+def _draw_rows(n, d, seed, base, target):
+    """The rows of `base`, then rows drawn from stream(seed, "rows")
+    (build_evaluation_matrix's rows) until the GF(FIRST_PRIME) rank of them
+    all reaches `target`, or IDLE_ROWS consecutive rows leave it unchanged
+    (a stall), and the echelon form of them all.
 
     `base`, if given, is the (rows, echelon) pair of `certified_kernel` on
-    smaller samples; it is copied, not changed.  `known` is the proved
-    dimension of the true kernel, so k - known is the rank over Q that the
-    rows can reach, and a GF(p) rank never exceeds it.  Rows are drawn until
-    the rank reaches k - known, or IDLE_ROWS consecutive rows leave it
-    unchanged (a stall), or k + IDLE_ROWS rows are drawn.
+    smaller samples; it is copied, not changed.  The idle rule alone ends
+    every draw: the rank rises at most k times, so at most
+    (k + 1) IDLE_ROWS rows are drawn.
     """
-    k = len(enumerate_invariant_basis(d))
     if base is None:
-        rows, echelon = [], _Echelon(k)
+        rows, echelon = [], _Echelon(len(enumerate_invariant_basis(d)))
     else:
         rows, echelon = list(base[0]), base[1].copy()
     idle = 0
-    rng = stream(seed, "rows")
-    for row in islice(_evaluation_rows(n, d, rng, b), k + IDLE_ROWS):
+    for row in _evaluation_rows(n, d, stream(seed, "rows")):
         rows.append(row)
         idle = 0 if echelon.add(row) else idle + 1
-        if echelon.rank == k - known or idle == IDLE_ROWS:
+        if echelon.rank == target or idle == IDLE_ROWS:
             break
     return rows, echelon
 
@@ -646,50 +642,46 @@ def certified_kernel(n, d, seed, base=None):
     """(vectors, (rows, echelon)): the nullspace of the evaluation matrix on
     n x n samples, with every vector re-verified on fresh draws, and the
     rows it is the exact kernel of with their echelon form over
-    GF(FIRST_PRIME).  Escalates the entry bound (doubling, reseeded) on
-    verification failure.
+    GF(FIRST_PRIME).
 
     The true kernel K_n(d) has the proved dimension kernel_dim(n, d), read
     after the basis cap check.  Rows are drawn one at a time until the
     GF(p) rank reaches k - kernel_dim(n, d) (`_draw_rows`).  A GF(p) rank
     never exceeds the rank over Q, which never exceeds k - kernel_dim(n, d)
     since every row vanishes on K_n.  So at that rank ker_Q(M) is K_n
-    itself, and later rows cannot change it.  If IDLE_ROWS consecutive rows
-    leave the rank unchanged, drawing stops short; the rows are then a
-    prefix of the k + IDLE_ROWS rows of build_evaluation_matrix, and the
-    extra vectors they leave fail certification, so a stall costs
-    escalations but never changes the result.
+    itself, and more rows, or rows at another entry bound, cannot change it.
 
     `base`, if given, is the (rows, echelon) of a kernel certified on
-    smaller samples, m x m with m < n.  Every attempt stacks its drawn rows
-    under those rows.  They are n x n rows too: x and diag(x, 0) have the
-    same trace words.  So the stacked kernel still contains the true one,
-    and since `nullspace` checks M v = 0 exactly on every stacked row, the
+    smaller samples, m x m with m < n.  The drawn rows are stacked under
+    those rows.  They are n x n rows too: x and diag(x, 0) have the same
+    trace words.  So the stacked kernel still contains the true one, and
+    since `nullspace` checks M v = 0 exactly on every stacked row, the
     result lies in the span of the base's kernel by construction.
 
-    The certified vectors are an exact basis of a space that contains K_n,
-    so a count that differs from kernel_dim(n, d) raises
-    KernelCertificationError: a table entry too small stalls below the
-    target rank and leaves K_n's own dimension, one too large leaves vectors
-    that fresh samples reject until escalation runs out.
+    There is one draw and one check, and every failure raises
+    KernelCertificationError at once; each can only mean a wrong table
+    entry or a defect.  A draw that stalls off the target rank leaves a
+    kernel of dimension k - rank, not the count, and is reported so without
+    a `nullspace` call.  At the target rank, a vector that fresh samples
+    reject, or a lifted kernel whose size differs from the count, raises.
     """
     k = len(enumerate_invariant_basis(d))
     known = kernel_dim(n, d)
-    for attempt in range(MAX_ESCALATIONS + 1):
-        attempt_seed = f"{seed}:n{n}:attempt{attempt}"
-        b = ENTRY_BOUND << attempt
-        rows, echelon = _draw_rows(n, d, attempt_seed, b, base, known)
+    # "attempt0" is part of the stream key: it fixes every row for a seed
+    draw_seed = f"{seed}:n{n}:attempt0"
+    rows, echelon = _draw_rows(n, d, draw_seed, base, k - known)
+    dim = k - echelon.rank
+    if dim == known:
         vectors = nullspace(rows, echelon)
-        vrng = stream(attempt_seed, "verify")
-        if all(fresh_sample_verdicts(vectors, n, d, vrng, b)):
-            if len(vectors) != known:
-                raise KernelCertificationError(
-                    f"kernel for n={n}, d={d} has dimension {len(vectors)}, "
-                    f"but the proved count is {known} of k={k}")
-            return vectors, (rows, echelon)
-    raise KernelCertificationError(
-        f"kernel for n={n}, d={d} failed certification after "
-        f"{MAX_ESCALATIONS} escalations; sampler configuration looks pathological")
+        if not all(fresh_sample_verdicts(vectors, n, d, stream(draw_seed, "verify"))):
+            raise KernelCertificationError(
+                f"kernel for n={n}, d={d} has a vector that fresh samples reject")
+        dim = len(vectors)
+    if dim != known:
+        raise KernelCertificationError(
+            f"kernel for n={n}, d={d} has dimension {dim}, "
+            f"but the proved count is {known} of k={k}")
+    return vectors, (rows, echelon)
 
 
 def _last_nonzero(vec):

@@ -24,7 +24,7 @@ import itertools
 from functools import lru_cache
 
 from .dimensions import rel_dim_formula
-from .montecarlo import (ENTRY_BOUND, METHOD_SYMMETRIZER, KernelCertificationError,
+from .montecarlo import (METHOD_SYMMETRIZER, KernelCertificationError,
                          RelationSet, _Echelon, fresh_sample_verdicts,
                          normalize_vector, stream)
 # unused here, but benchmark/spans.py traces calls through these two names
@@ -249,8 +249,7 @@ def symmetrizer_relation_space(n, seed):
     if len(selected) != expected:
         raise KernelCertificationError(
             f"symmetrizer projections span rank {len(selected)}, expected {expected}")
-    if not all(fresh_sample_verdicts(selected, n, d, stream(seed, "ys-verify", n),
-                                     ENTRY_BOUND)):
+    if not all(fresh_sample_verdicts(selected, n, d, stream(seed, "ys-verify", n))):
         raise KernelCertificationError(
             "projected symmetrizer failed exact verification")
     return RelationSet(n=n, d=d, relations=tuple(selected),

@@ -295,9 +295,8 @@ def test_verify_does_not_sample_from_the_file_seed(capsys, tmp_path):
     # seed: their nullspace is far larger than the true kernel, so it holds
     # a vector that is no relation, and the file records that seed.
     n, d, seed = 4, 6, 12345
-    rows = list(islice(montecarlo._evaluation_rows(
-        n, d, stream(seed, "cli-verify"), ENTRY_BOUND),
-        certification_trials(ENTRY_BOUND, d)))
+    rows = list(islice(montecarlo._evaluation_rows(n, d, stream(seed, "cli-verify")),
+                       certification_trials(ENTRY_BOUND, d)))
     fitted = montecarlo.nullspace(rows)
     kernel, _ = montecarlo.certified_kernel(n, d, seed)
     assert (len(fitted), len(kernel)) == (24, 9)

@@ -47,12 +47,15 @@ def test_sample_matrix_draws_the_randint_stream(bound):
 
 
 def test_evaluation_rows_skip_the_zero_matrix():
-    # with B = 1 a 1 x 1 sample is zero a third of the time; its row would
-    # be all zero and vanish under every coefficient vector
+    # a 1 x 1 sample is zero once in 2B + 1 = 21 draws; its row would be all
+    # zero and vanish under every coefficient vector
+    rng = stream(2, "rows")
+    samples = [sample_matrix(1, rng, ENTRY_BOUND) for _ in range(200)]
+    nonzero = [x for x in samples if any(x)]
+    assert len(nonzero) < len(samples)
     rows = list(itertools.islice(
-        montecarlo._evaluation_rows(1, 1, stream(2, "rows"), 1), 60))
-    assert len(rows) == 60
-    assert all(any(row) for row in rows)
+        montecarlo._evaluation_rows(1, 1, stream(2, "rows")), len(nonzero)))
+    assert rows == [montecarlo.evaluate_basis_row(1, x) for x in nonzero]
 
 
 def test_build_evaluation_matrix_shape():
@@ -733,13 +736,61 @@ def test_every_draw_stops_at_the_proved_rank(monkeypatch, run, draws):
     _assert_each_draw_stopped_on_its_target(drawn)
 
 
+def _idle_runs(monkeypatch):
+    # per _draw_rows call: (target, rank reached, longest run of drawn rows
+    # that raised no rank)
+    draws, raised = [], []
+    true_draw, true_add = montecarlo._draw_rows, montecarlo._Echelon.add
+
+    def add(self, row):
+        raised.append(true_add(self, row))
+        return raised[-1]
+
+    def recording(n, d, seed, base, target):
+        raised.clear()
+        rows, echelon = true_draw(n, d, seed, base, target)
+        longest = max((len(list(run)) for up, run in itertools.groupby(raised)
+                       if not up), default=0)
+        draws.append((target, echelon.rank, longest))
+        return rows, echelon
+
+    monkeypatch.setattr(montecarlo._Echelon, "add", add)
+    monkeypatch.setattr(montecarlo, "_draw_rows", recording)
+    return draws
+
+
+def _assert_idle_margin(monkeypatch, max_d, max_n, seeds):
+    # A stall raises at once, so every draw must reach its proved rank well
+    # before IDLE_ROWS idle rows: the longest idle run measured over 7100
+    # kernels of dims 8 x 7, 10 x 9 and 11 x 10 was 3.
+    draws = _idle_runs(monkeypatch)
+    for seed in seeds:
+        rel_dimension_table(max_d, max_n, seed)
+    chain = sum(min(max_n + 1, d - 1) for d in range(2, max_d + 1))
+    assert len(draws) == chain * len(seeds)
+    assert all(rank == target for target, rank, _ in draws)
+    assert max(longest for _, _, longest in draws) <= 3 < montecarlo.IDLE_ROWS
+
+
+def test_every_draw_reaches_its_rank_with_an_idle_margin(monkeypatch):
+    # dims 8 x 7 for seeds 0..4: 140 kernels
+    _assert_idle_margin(monkeypatch, 8, 7, range(5))
+
+
+@pytest.mark.skipif(os.environ.get("TRACE_RELATIONS_LONG") != "1",
+                    reason="dims 10 x 9 twice; set TRACE_RELATIONS_LONG=1")
+def test_every_draw_reaches_its_rank_with_an_idle_margin_long(monkeypatch):
+    # dims 10 x 9 for seeds 100 and 101: 90 kernels
+    _assert_idle_margin(monkeypatch, 10, 9, (100, 101))
+
+
 @pytest.mark.parametrize("n,d,error", [(2, 3, -1), (1, 5, -1), (3, 6, -1), (4, 7, -1),
                                        (2, 3, 1), (2, 4, 1), (1, 5, 1)])
 def test_a_wrong_kernel_dim_fails_certification(monkeypatch, n, d, error):
     # too small a count sets a rank the rows cannot reach, so drawing stalls
-    # and the certified kernel has the true dimension, not the count; too
-    # large a count stops short and leaves vectors that fresh samples reject
-    # on every escalation (or, with a target rank of 0, stalls as well).
+    # with the true dimension, not the count; too large a count stops short
+    # and leaves a vector that fresh samples reject (or, with a target rank
+    # of 0, passes it on the first row and stalls).
     # Too large a count runs on small cells only: the vector it leaves is
     # one of large fractions, which nullspace lifts through many primes.
     true_dim = montecarlo.kernel_dim
@@ -870,7 +921,7 @@ def test_find_relations_certifies_the_ambient_on_the_n_rows(monkeypatch, n, d):
     # K_n's rows, then a prefix of the rows an unnested K_{n+1} would draw,
     # and every ambient vector annihilates the n x n rows
     seen = _kernel_rows(monkeypatch)
-    calls = {}      # m -> (base, rows of attempt 0, certified_kernel's result)
+    calls = {}      # m -> (base, rows, certified_kernel's result)
     true_kernel = montecarlo.certified_kernel
 
     def recording(m, deg, seed, base=None):
@@ -886,12 +937,11 @@ def test_find_relations_certifies_the_ambient_on_the_n_rows(monkeypatch, n, d):
     assert base is None
     base, rows, (ambient, _) = calls[n + 1]
     assert base is below
-    k = len(enumerate_invariant_basis(d))
-    full = build_evaluation_matrix(n + 1, d, k + montecarlo.IDLE_ROWS,
-                                   f"{SEED}:n{n + 1}:attempt0")
     drawn = rows[len(below[0]):]
     assert rows[:len(below[0])] == below[0]
-    assert 1 <= len(drawn) and drawn == full[:len(drawn)]
+    assert 1 <= len(drawn)
+    assert drawn == build_evaluation_matrix(n + 1, d, len(drawn),
+                                            f"{SEED}:n{n + 1}:attempt0")
     cols = list(zip(*below[0]))
     assert ambient and all(annihilates(cols, u) for u in ambient)
 
@@ -960,10 +1010,9 @@ def _near_miss(kernel):
          "near-miss"])
 def test_certified_kernel_rejects_spurious_vector(monkeypatch, n, d, spurious,
                                                   position):
-    # every attempt's kernel carries a non-relation; the shared certification
-    # samples must catch it wherever it sits, also among the 75 vectors of
-    # (1, 7) and when it is one unit away from a relation, so escalation
-    # runs out
+    # the kernel carries a non-relation; the shared certification samples
+    # must catch it wherever it sits, also among the 75 vectors of (1, 7)
+    # and when it is one unit away from a relation
     true_nullspace = montecarlo.nullspace
 
     def padded(rows, *args):
@@ -974,6 +1023,58 @@ def test_certified_kernel_rejects_spurious_vector(monkeypatch, n, d, spurious,
     monkeypatch.setattr(montecarlo, "nullspace", padded)
     with pytest.raises(KernelCertificationError):
         certified_kernel(n, d, SEED)
+
+
+def _calls(monkeypatch, name):
+    # the arguments of every call through montecarlo.<name>
+    calls = []
+    true_function = getattr(montecarlo, name)
+
+    def recording(*args):
+        calls.append(args)
+        return true_function(*args)
+
+    monkeypatch.setattr(montecarlo, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (3, 6)])
+def test_a_stall_fails_without_a_lift_or_fresh_samples(monkeypatch, capsys, n, d):
+    # a count one too small sets a rank the rows cannot reach: the draw
+    # stalls at the true dimension and fails at once, with no nullspace
+    # call and no fresh sample, in the engine and as exit 4 from the CLI
+    true_dim = montecarlo.kernel_dim
+    monkeypatch.setattr(montecarlo, "kernel_dim", lambda m, e: true_dim(m, e) - 1)
+    lifts = _calls(monkeypatch, "nullspace")
+    rounds = _calls(monkeypatch, "fresh_sample_verdicts")
+    k = len(enumerate_invariant_basis(d))
+    with pytest.raises(KernelCertificationError,
+                       match=f"has dimension {true_dim(n, d)}, but the proved "
+                             f"count is {true_dim(n, d) - 1} of k={k}$"):
+        certified_kernel(n, d, SEED)
+    assert main(["relations", "--n", str(n), "--d", str(d), "--seed", "1"]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: kernel for n={n}, d={d} has dimension ")
+    assert (lifts, rounds) == ([], [])
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 5)])
+def test_a_rejected_vector_fails_after_one_round(monkeypatch, n, d):
+    # at the proved rank another draw cannot mend a vector that fresh
+    # samples reject: one lift and one fresh-sample round, then the error
+    true_nullspace = montecarlo.nullspace
+    lifts = []
+
+    def padded(rows, *args):
+        lifts.append(rows)
+        kernel = true_nullspace(rows, *args)
+        return kernel + [_near_miss(kernel)]
+
+    monkeypatch.setattr(montecarlo, "nullspace", padded)
+    rounds = _calls(monkeypatch, "fresh_sample_verdicts")
+    with pytest.raises(KernelCertificationError, match="fresh samples reject"):
+        certified_kernel(n, d, SEED)
+    assert (len(lifts), len(rounds)) == (1, 1)
 
 
 def _kernel_rows(monkeypatch):
@@ -994,7 +1095,8 @@ IDLE_COUNTS = (1, 2, 10)
 
 @pytest.mark.parametrize("n,d", [(1, 7), (2, 5), (3, 6), (4, 5)])
 def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, n, d):
-    # the rows are a prefix of the k + IDLE_ROWS rows of the evaluation matrix
+    # the rows are a prefix of the evaluation matrix, (k + 1) IDLE_ROWS
+    # rows at most
     seen = _kernel_rows(monkeypatch)
     k = len(enumerate_invariant_basis(d))
     first = f"{SEED}:n{n}:attempt0"
@@ -1002,9 +1104,8 @@ def test_certified_kernel_draws_a_prefix_of_the_oversampled_matrix(monkeypatch, 
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
         seen.clear()
         certified_kernel(n, d, SEED)
-        full = build_evaluation_matrix(n, d, k + idle, first)
-        assert 1 <= len(seen[0]) <= len(full)
-        assert seen[0] == full[:len(seen[0])]
+        assert 1 <= len(seen[0]) <= (k + 1) * idle
+        assert seen[0] == build_evaluation_matrix(n, d, len(seen[0]), first)
 
 
 @pytest.mark.parametrize("d,m", [(5, 1), (6, 2), (7, 3)])
@@ -1012,7 +1113,7 @@ def test_dims_draws_each_nested_kernel_after_the_rows_below(monkeypatch, d, m):
     # the rows of a nested K_{m+1} are K_m's rows, then a prefix of the rows
     # an unnested K_{m+1} would draw
     seen = _kernel_rows(monkeypatch)
-    calls = {}      # m -> (seed, rows of attempt 0, certified_kernel's result)
+    calls = {}      # m -> (seed, rows, certified_kernel's result)
     true_kernel = montecarlo.certified_kernel
 
     def recording(n, deg, seed, base=None):
@@ -1026,12 +1127,11 @@ def test_dims_draws_each_nested_kernel_after_the_rows_below(monkeypatch, d, m):
     rel_dimension_table(d, m, SEED)
     _, (below, _) = calls[m][2]
     seed, rows, _ = calls[m + 1]
-    k = len(enumerate_invariant_basis(d))
-    full = build_evaluation_matrix(m + 1, d, k + montecarlo.IDLE_ROWS,
-                                   f"{seed}:n{m + 1}:attempt0")
     drawn = rows[len(below):]
     assert rows[:len(below)] == below
-    assert 1 <= len(drawn) and drawn == full[:len(drawn)]
+    assert 1 <= len(drawn)
+    assert drawn == build_evaluation_matrix(m + 1, d, len(drawn),
+                                            f"{seed}:n{m + 1}:attempt0")
 
 
 def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
@@ -1045,25 +1145,30 @@ def test_certified_kernel_stops_once_the_rank_settles(monkeypatch):
 
 
 def test_certified_kernel_rejects_a_prefix_cut_too_short(monkeypatch):
-    # one row leaves a kernel far larger than the true one; no escalation
-    # can certify it
+    # one row leaves a kernel far larger than the true one: rank 1, short of
+    # the proved rank, fails as a stall does, with no lift
     true_draw = montecarlo._draw_rows
 
-    def one_row(n, d, seed, b, base, known):
-        rows, _ = true_draw(n, d, seed, b, base, known)
+    def one_row(n, d, seed, base, target):
+        rows, _ = true_draw(n, d, seed, base, target)
         echelon = montecarlo._Echelon(len(rows[0]), P)
         echelon.add(rows[0])
         return rows[:1], echelon
 
     monkeypatch.setattr(montecarlo, "_draw_rows", one_row)
-    with pytest.raises(KernelCertificationError):
+    lifts = _calls(monkeypatch, "nullspace")
+    k = len(enumerate_invariant_basis(5))
+    with pytest.raises(KernelCertificationError,
+                       match=f"has dimension {k - 1}, but the proved count is "
+                             f"{kernel_dim(2, 5)} of k={k}$"):
         certified_kernel(2, 5, SEED)
+    assert lifts == []
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (2, 6), (3, 6), (4, 7)])
 def test_relations_do_not_depend_on_oversample(monkeypatch, n, d):
-    # fewer idle rows stop the drawing sooner and may escalate, never change
-    # the certified result
+    # every draw stops at its proved rank before any idle run, so fewer
+    # idle rows, which only end a stall, never change the certified result
     results = set()
     for idle in IDLE_COUNTS:
         monkeypatch.setattr(montecarlo, "IDLE_ROWS", idle)
@@ -1103,27 +1208,24 @@ def test_certification_trials_refuse_degree_past_entry_range(b, d):
 
 
 def test_engines_run_the_derived_trial_count(monkeypatch):
-    # The engines pass only the entry bound, B = 10 * 2^attempt;
-    # fresh_sample_verdicts draws certification_trials(B, d) samples itself.
+    # Every sample, kernel row or fresh, is drawn at B = ENTRY_BOUND, and
+    # fresh_sample_verdicts draws certification_trials(ENTRY_BOUND, d)
+    # samples itself: one round per kernel, and one round shared by the
+    # kept vectors.
     from trace_relations import symmetrizer
     from trace_relations.symmetrizer import symmetrizer_relation_space
-    bounds, degrees = [], []
+    rounds, bounds, degrees = [], [], []
     true_verdicts = montecarlo.fresh_sample_verdicts
-    true_draw = montecarlo._draw_rows
+    true_sample = montecarlo.sample_matrix
     true_row = montecarlo.evaluate_basis_row
 
-    def recording(vectors, n, d, rng, b):
-        bounds.append(b)
-        return true_verdicts(vectors, n, d, rng, b)
+    def recording(vectors, *args):
+        rounds.append(len(vectors))
+        return true_verdicts(vectors, *args)
 
-    def short_first_attempt(n, d, seed, b, base, known):
-        # one row leaves a kernel too large to certify, so attempt 0 escalates
-        rows, echelon = true_draw(n, d, seed, b, base, known)
-        if seed.endswith("attempt0"):
-            echelon = montecarlo._Echelon(len(rows[0]), P)
-            echelon.add(rows[0])
-            rows = rows[:1]
-        return rows, echelon
+    def sampling(n, rng, b):
+        bounds.append(b)
+        return true_sample(n, rng, b)
 
     def counting(d, x):
         degrees.append(d)
@@ -1131,22 +1233,22 @@ def test_engines_run_the_derived_trial_count(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "fresh_sample_verdicts", recording)
     monkeypatch.setattr(symmetrizer, "fresh_sample_verdicts", recording)
-    monkeypatch.setattr(montecarlo, "_draw_rows", short_first_attempt)
+    monkeypatch.setattr(montecarlo, "sample_matrix", sampling)
     find_relations(2, 3, 3)
-    assert bounds == [10, 20]
-    bounds.clear()
+    assert rounds == [2]
+    rounds.clear()
     symmetrizer_relation_space(2, 3)
-    # both kept vectors are certified on one shared sample set
-    assert bounds == [10]
+    assert rounds == [2]
+    assert bounds and set(bounds) == {ENTRY_BOUND}
 
     monkeypatch.setattr(montecarlo, "evaluate_basis_row", counting)
     vec = (1,) + (0,) * (len(enumerate_invariant_basis(8)) - 1)
-    true_verdicts([vec], 2, 8, stream(1, "v"), 10)
-    assert len(degrees) == certification_trials(10, 8) == 22
+    true_verdicts([vec], 2, 8, stream(1, "v"))
+    assert len(degrees) == certification_trials(ENTRY_BOUND, 8) == 22
     degrees.clear()
-    bounds.clear()
+    rounds.clear()
     verify_relation(vec, 2, 8, stream(1, "v"))
-    assert (bounds, len(degrees)) == ([10], 22)
+    assert (rounds, len(degrees)) == ([1], 22)
 
 
 def test_verify_rejects_ambiguous_coefficient_variant():
